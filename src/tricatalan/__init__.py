@@ -25,6 +25,7 @@ from .lattice import (
     catalan3_coeff,
     descent_poly,
     enumerate_paths,
+    lattice_columns,
     lattice_poly,
     lattice_table,
     parse_path,
@@ -73,6 +74,7 @@ __all__ = [
     "catalan3_coeff",
     "descent_poly",
     "enumerate_paths",
+    "lattice_columns",
     "lattice_poly",
     "lattice_table",
     "parse_path",

@@ -9,11 +9,15 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 
 from . import eventree, lattice, matching
 from . import verify as verify_mod
 from .errors import DomainError, ParseError
+
+# The text grid holds every cell at once; json and csv stream any size.
+TEXT_TABLE_MAX_I = 200
 
 MAP_KINDS = (
     "path-to-matching",
@@ -54,32 +58,51 @@ def _json_arg(value: str) -> object:
 def cmd_table(args: argparse.Namespace) -> int:
     if args.max_i < 0:
         raise ParseError("--max-i must be nonnegative")
-    cells = lattice.lattice_table(args.max_i)
     if args.format == "json":
-        print(_compact([[i, j, p.to_json()] for i, j, p in cells]))
+        # Each column is encoded as soon as it is built; joined without their
+        # own brackets, the column lists give the bytes of one compact list.
+        separator = "["
+        for i, column in enumerate(lattice.lattice_columns(args.max_i)):
+            encoded = _compact([[i, j, coeffs] for j, coeffs in enumerate(column)])
+            sys.stdout.write(separator + encoded[1:-1])
+            separator = ","
+        sys.stdout.write("]\n")
     elif args.format == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(["i", "j", "coeffs"])
-        for i, j, p in cells:
-            writer.writerow([i, j, " ".join(str(c) for c in p.coeffs)])
+        for i, column in enumerate(lattice.lattice_columns(args.max_i)):
+            writer.writerows(
+                [i, j, " ".join(map(str, coeffs))] for j, coeffs in enumerate(column)
+            )
     else:
-        by_pos = {(i, j): str(p) for i, j, p in cells}
-        widths = [
-            max([len(str(i))] + [len(by_pos[(i, j)]) for j in range(i // 2 + 1)])
-            for i in range(args.max_i + 1)
-        ]
-        label = max(len(f"j={j}") for j in range(args.max_i // 2 + 1))
-        header = " " * label + "  " + "  ".join(
-            str(i).rjust(widths[i]) for i in range(args.max_i + 1)
-        )
-        print(header.rstrip())
-        for j in range(args.max_i // 2, -1, -1):
-            row = [
-                (by_pos.get((i, j), "") or "").rjust(widths[i])
-                for i in range(args.max_i + 1)
-            ]
-            print((f"j={j}".ljust(label) + "  " + "  ".join(row)).rstrip())
+        _print_grid(args.max_i)
     return 0
+
+
+def _print_grid(max_i: int) -> None:
+    """The text grid, rows j descending; it needs every cell before the first line."""
+    if max_i > TEXT_TABLE_MAX_I:
+        raise ParseError(
+            f"the text grid is limited to --max-i <= {TEXT_TABLE_MAX_I};"
+            " use --format json or csv, which stream any size"
+        )
+    columns: list[list[str]] = [[] for _ in range(max_i + 1)]
+    for i, _, p in lattice.lattice_table(max_i):
+        columns[i].append(str(p))
+    widths = [
+        max(len(str(i)), *map(len, column)) for i, column in enumerate(columns)
+    ]
+    label = len(f"j={max_i // 2}")
+    header = " " * label + "  " + "  ".join(
+        str(i).rjust(widths[i]) for i in range(max_i + 1)
+    )
+    print(header.rstrip())
+    for j in range(max_i // 2, -1, -1):
+        row = [
+            (column[j] if j < len(column) else "").rjust(width)
+            for column, width in zip(columns, widths)
+        ]
+        print((f"j={j}".ljust(label) + "  " + "  ".join(row)).rstrip())
 
 
 def cmd_map(args: argparse.Namespace) -> int:
@@ -189,8 +212,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_table = sub.add_parser("table", help="print the polynomial table")
-    p_table.add_argument("--max-i", type=int, default=8)
+    p_table = sub.add_parser(
+        "table",
+        help="print the polynomial table",
+        description=(
+            "The weighted path polynomials L(i, j) for 0 <= 2j <= i <= max-i."
+            " json and csv stream column by column at any size; the text grid"
+            " needs every cell at once and is limited to"
+            f" --max-i <= {TEXT_TABLE_MAX_I}."
+        ),
+    )
+    p_table.add_argument(
+        "--max-i",
+        type=int,
+        default=8,
+        help=f"largest column i (text format: at most {TEXT_TABLE_MAX_I})",
+    )
     p_table.add_argument("--format", choices=("text", "json", "csv"), default="text")
     p_table.set_defaults(func=cmd_table)
 
@@ -225,16 +262,35 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _stdout_to_devnull() -> None:
+    """Point stdout's file descriptor at devnull, so the flush at exit cannot fail."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return  # not backed by a file descriptor: nothing is flushed at exit
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    try:
+        os.dup2(devnull, fd)
+    finally:
+        os.close(devnull)
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except BrokenPipeError:
+        # The reader closed stdout early (`| head`): a normal stop, not a failure.
+        _stdout_to_devnull()
+        return 0
 
 
 if __name__ == "__main__":

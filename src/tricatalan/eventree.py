@@ -24,7 +24,7 @@ from functools import lru_cache
 
 from .errors import NOT_IN_IMAGE, DomainError, ParseError
 from .lattice import EAST, NORTH, parse_path
-from .poly import Poly
+from .poly import Poly, histogram_poly
 
 Node = tuple  # recursively: tuple[Node, ...]
 
@@ -113,13 +113,7 @@ def r_index_poly(n: int) -> Poly:
     """Generating polynomial of the r-index over even trees with 2n edges."""
     if n < 1:
         raise ValueError("n must be positive")
-    counts: list[int] = []
-    for tree in enumerate_even_trees(2 * n):
-        r = r_index(tree)
-        while len(counts) <= r:
-            counts.append(0)
-        counts[r] += 1
-    return Poly(tuple(counts))
+    return histogram_poly(map(r_index, enumerate_even_trees(2 * n)))
 
 
 def _node_paren(node: Node) -> str:

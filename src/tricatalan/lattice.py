@@ -7,12 +7,18 @@ at odd x carries weight x (the formal variable); all other steps have weight
 1.  lattice_poly(i, j) is the weighted count of all such paths ending at
 (i, j), computed by dynamic programming; enumerate_paths lists the paths
 explicitly and is kept independent of the DP so each can check the other.
+
+The dynamic program runs column by column (_columns) and holds only the
+previous column and the one being built, as plain coefficient tuples, so
+its memory is bounded by two columns and it uses no recursion and no cache.
+lattice_poly, lattice_columns and lattice_table all read from it.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import comb
+from operator import add
+from typing import Iterator
 
 from .errors import ParseError
 from .poly import Poly
@@ -81,24 +87,41 @@ def enumerate_paths(i: int, j: int) -> list[str]:
     return found
 
 
-@lru_cache(maxsize=None)
+def _columns(max_i: int, max_j: int) -> Iterator[list[tuple[int, ...]]]:
+    """Columns i = 0..max_i: coefficient tuples of L(i, j), j <= min(i // 2, max_j).
+
+    Recurrence over the last step: a path into (i, j) arrives by E from
+    (i-1, j) or by N from (i, j-1), the latter weighted by x exactly when i
+    is odd.  Cells above the line are zero, so (i-1, j) is missing from the
+    previous column when 2j = i.  Each yielded list is new and never mutated.
+    """
+    column = [(1,)]
+    yield column
+    for i in range(1, max_i + 1):
+        previous, column = column, []
+        cell: tuple[int, ...] = ()
+        for j in range(min(i // 2, max_j) + 1):
+            left = previous[j] if j < len(previous) else ()
+            below = (0,) + cell if i % 2 and cell else cell
+            if len(left) < len(below):
+                left, below = below, left
+            cell = (*map(add, left, below), *left[len(below):])
+            column.append(cell)
+        yield column
+
+
 def lattice_poly(i: int, j: int) -> Poly:
     """Weighted count of paths from the origin to (i, j).
 
     Zero for positions strictly above the line (or negative), so callers may
-    sum over a rectangle freely.  Recurrence over the last step: a path into
-    (i, j) arrives by E from (i-1, j) or by N from (i, j-1), the latter
-    weighted by x exactly when i is odd.
+    sum over a rectangle freely.  Runs the column DP up to column i, rows
+    0..j only, which are all that (i, j) depends on.
     """
     if i < 0 or j < 0 or i < 2 * j:
         return Poly.zero()
-    if i == 0:
-        return Poly.one()
-    left = lattice_poly(i - 1, j)
-    below = lattice_poly(i, j - 1)
-    if i % 2 == 1:
-        below = below.mul_x()
-    return left + below
+    for column in _columns(i, j):
+        pass
+    return Poly._trusted(column[j])
 
 
 def _exact_div(numerator: int, divisor: int, what: str) -> int:
@@ -146,12 +169,26 @@ def descent_poly(n: int) -> Poly:
     return Poly(tuple(coeffs))
 
 
-def lattice_table(max_i: int) -> list[tuple[int, int, Poly]]:
-    """All (i, j, lattice_poly(i, j)) with 0 <= i <= max_i, 0 <= 2j <= i."""
+def lattice_columns(max_i: int) -> Iterator[list[tuple[int, ...]]]:
+    """Stream the table one column at a time, for i = 0..max_i.
+
+    Column i lists the coefficient tuples of lattice_poly(i, j) for
+    j = 0..i//2 (ascending powers, no trailing zeros).  max_i is checked at
+    call time; columns are built as they are consumed.
+    """
     if max_i < 0:
         raise ValueError("max_i must be nonnegative")
-    return [
-        (i, j, lattice_poly(i, j))
-        for i in range(max_i + 1)
-        for j in range(i // 2 + 1)
-    ]
+    return _columns(max_i, max_i)
+
+
+def lattice_table(max_i: int) -> Iterator[tuple[int, int, Poly]]:
+    """Stream all (i, j, lattice_poly(i, j)) with 0 <= i <= max_i, 0 <= 2j <= i.
+
+    Cells come column by column, i ascending and then j ascending; max_i is
+    checked at call time.
+    """
+    return (
+        (i, j, Poly._trusted(coeffs))
+        for i, column in enumerate(lattice_columns(max_i))
+        for j, coeffs in enumerate(column)
+    )

@@ -33,7 +33,7 @@ from typing import Iterator, Sequence
 
 from .errors import NOT_IN_IMAGE, DomainError, ParseError
 from .lattice import EAST, NORTH, parse_path
-from .poly import Poly
+from .poly import Poly, histogram_poly
 
 FORBIDDEN_PATTERN = (1, 2, 3, 1, 2)
 
@@ -242,13 +242,7 @@ def enumerate_matchings(points: int, edge_count: int) -> list[PartialMatching]:
 
 def crossing_poly(points: int, edge_count: int) -> Poly:
     """Generating polynomial of the crossing number over enumerate_matchings."""
-    counts: list[int] = []
-    for matching in enumerate_matchings(points, edge_count):
-        c = crossings(matching)
-        while len(counts) <= c:
-            counts.append(0)
-        counts[c] += 1
-    return Poly(tuple(counts))
+    return histogram_poly(map(crossings, enumerate_matchings(points, edge_count)))
 
 
 def shift(matching: PartialMatching) -> PartialMatching:
@@ -346,5 +340,7 @@ def matching_from_json(obj: object) -> PartialMatching:
     for e in edges:
         if not isinstance(e, list) or len(e) != 2:
             raise ParseError(f"edge {e!r} is not a pair")
+        if any(isinstance(p, bool) for p in e):
+            raise ParseError(f"edge {e!r} has a boolean endpoint, not an integer")
         pairs.append(tuple(e))
     return PartialMatching(m, tuple(pairs))

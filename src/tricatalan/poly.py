@@ -4,12 +4,22 @@ The whole package counts things, so coefficients are plain Python ints
 (exact, unbounded).  A polynomial is stored as a tuple of coefficients in
 ascending powers with no trailing zeros; the zero polynomial stores the
 empty tuple.  Values are immutable and hashable.
+
+Coefficient types are checked once, by the public constructor; arithmetic
+on polynomials that passed it builds its results without checking again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
+
+
+def _trim(coeffs: tuple[int, ...]) -> tuple[int, ...]:
+    end = len(coeffs)
+    while end and coeffs[end - 1] == 0:
+        end -= 1
+    return coeffs[:end]
 
 
 @dataclass(frozen=True)
@@ -23,21 +33,22 @@ class Poly:
         for c in coeffs:
             if not isinstance(c, int):
                 raise TypeError(f"coefficients must be int, got {type(c).__name__}")
-        while coeffs and coeffs[-1] == 0:
-            coeffs = coeffs[:-1]
-        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "coeffs", _trim(coeffs))
+
+    @classmethod
+    def _trusted(cls, coeffs: tuple[int, ...]) -> Poly:
+        """Wrap a tuple of ints without trailing zeros, skipping the checks."""
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "coeffs", coeffs)
+        return poly
 
     @classmethod
     def zero(cls) -> Poly:
-        return cls(())
+        return cls._trusted(())
 
     @classmethod
     def one(cls) -> Poly:
-        return cls((1,))
-
-    @classmethod
-    def from_coeffs(cls, coeffs: Sequence[int] | Iterable[int]) -> Poly:
-        return cls(tuple(coeffs))
+        return cls._trusted((1,))
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -60,13 +71,13 @@ class Poly:
         summed = list(a)
         for k, c in enumerate(b):
             summed[k] += c
-        return Poly(tuple(summed))
+        return Poly._trusted(_trim(tuple(summed)))
 
     def mul_x(self) -> Poly:
         """Multiply by x (shift every coefficient up one power)."""
         if not self.coeffs:
             return self
-        return Poly((0,) + self.coeffs)
+        return Poly._trusted((0,) + self.coeffs)
 
     def eval_at_one(self) -> int:
         """Sum of coefficients, i.e. the total count behind the polynomial."""
@@ -90,3 +101,18 @@ class Poly:
             else:
                 terms.append(f"x^{k}" if c == 1 else f"{c}*x^{k}")
         return " + ".join(terms)
+
+
+def histogram_poly(values: Iterable[int]) -> Poly:
+    """Generating polynomial of a statistic: the coefficient of x^k counts the k's.
+
+    histogram_poly([0, 2, 2]) is 1 + 2x^2; no values give the zero polynomial.
+    """
+    counts: list[int] = []
+    for k in values:
+        if k < 0:
+            raise ValueError(f"statistic values must be nonnegative, got {k}")
+        if k >= len(counts):
+            counts.extend([0] * (k + 1 - len(counts)))
+        counts[k] += 1
+    return Poly._trusted(tuple(counts))

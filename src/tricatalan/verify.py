@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass, field
 
 from . import eventree, lattice, matching
-from .poly import Poly
+from .poly import Poly, histogram_poly
 
 PATH_ORACLE_MAX_I = 14
 MATCHING_MAX_I = 12
@@ -63,20 +63,11 @@ def _valid_positions(max_i: int):
             yield i, j
 
 
-def _weight_poly(paths: list[str]) -> Poly:
-    counts: list[int] = []
-    for p in paths:
-        w = lattice.weight_exponent(p)
-        while len(counts) <= w:
-            counts.append(0)
-        counts[w] += 1
-    return Poly(tuple(counts))
-
-
 def _check_path_oracle(max_i: int) -> CheckResult:
     witness = None
     for i, j in _valid_positions(max_i):
-        got = _weight_poly(lattice.enumerate_paths(i, j))
+        paths = lattice.enumerate_paths(i, j)
+        got = histogram_poly(map(lattice.weight_exponent, paths))
         want = lattice.lattice_poly(i, j)
         if got != want:
             witness = f"(i,j)=({i},{j}): enumeration gives {got}, table gives {want}"
@@ -146,13 +137,7 @@ def _check_collapse(max_n: int) -> CheckResult:
 def _check_matching_counts(max_i: int, table: dict) -> CheckResult:
     witness = None
     for (i, j), members in table.items():
-        counts: list[int] = []
-        for m in members:
-            c = matching.crossings(m)
-            while len(counts) <= c:
-                counts.append(0)
-            counts[c] += 1
-        got = Poly(tuple(counts))
+        got = histogram_poly(map(matching.crossings, members))
         want = lattice.lattice_poly(i, j)
         if got != want:
             witness = f"(i,j)=({i},{j}): class polynomial {got} != table {want}"

@@ -1,9 +1,15 @@
 import csv
+import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import tricatalan
 from tricatalan import cli, lattice
 from tricatalan.verify import run_verify
 
@@ -211,6 +217,112 @@ def test_table_csv(capsys):
     rows = list(csv.reader(io.StringIO(out)))
     assert rows[0] == ["i", "j", "coeffs"]
     assert ["4", "2", "2 1"] in rows
+
+
+# sha256 of the seed's `table --max-i 16` output in json (the value the
+# benchmark records) and in csv; streaming must not change a byte.
+TABLE_16_SHA256 = {
+    "json": "444e736b2a8a6ecdb9aa9677795f7532d5bb0c8fafa19f8e0cd3fde1dede0353",
+    "csv": "11d7fbe86394b86c7533720c798253d157e2dd6b0a6d1d1ff8ea7d6d6766a345",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(TABLE_16_SHA256))
+def test_table_streamed_bytes_unchanged(capsys, fmt):
+    code, out, _ = run(capsys, ["table", "--max-i", "16", "--format", fmt])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == TABLE_16_SHA256[fmt]
+
+
+class CountingWriter(io.TextIOBase):
+    """stdout stand-in that keeps only the number of characters written."""
+
+    def __init__(self):
+        self.chars = 0
+
+    def writable(self):
+        return True
+
+    def write(self, s):
+        self.chars += len(s)
+        return len(s)
+
+
+def test_table_text_limit(capsys, monkeypatch):
+    limit = cli.TEXT_TABLE_MAX_I
+    assert limit >= 200
+    code, out, err = run(capsys, ["table", "--max-i", str(limit + 1)])
+    assert code == 2 and out == ""
+    assert f"--max-i <= {limit}" in err and "--format json or csv" in err
+    writer = CountingWriter()
+    monkeypatch.setattr("sys.stdout", writer)
+    assert cli.main(["table", "--max-i", str(limit)]) == 0
+    assert writer.chars > 0
+    # The streamed formats have no such limit.
+    writer = CountingWriter()
+    monkeypatch.setattr("sys.stdout", writer)
+    assert cli.main(["table", "--max-i", str(limit + 1), "--format", "csv"]) == 0
+    assert writer.chars > 0
+
+
+def test_table_help_states_the_text_limit(capsys):
+    with pytest.raises(SystemExit):
+        cli.main(["table", "--help"])
+    assert f"at most {cli.TEXT_TABLE_MAX_I}" in capsys.readouterr().out
+
+
+class ClosedPipe(io.TextIOBase):
+    """stdout whose reader has gone away, as under `| head`."""
+
+    def writable(self):
+        return True
+
+    def write(self, s):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["table", "--max-i", "30", "--format", "json"],
+        ["table", "--max-i", "30", "--format", "csv"],
+        ["table", "--max-i", "8"],
+        ["enum", "paths", "--i", "8", "--j", "4"],
+    ],
+)
+def test_closed_stdout_is_a_normal_stop(capsys, monkeypatch, argv):
+    monkeypatch.setattr("sys.stdout", ClosedPipe())
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_table_piped_into_head_exits_cleanly():
+    env = dict(os.environ, PYTHONPATH=str(Path(tricatalan.__file__).parents[1]))
+    argv = ["table", "--max-i", "1500", "--format", "json"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "tricatalan", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    head = proc.stdout.read(1000)
+    proc.stdout.close()
+    try:
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert head.startswith(b"[[0,0,[1]],[1,0,[1]],")
+    assert code == 0 and err == b""
+
+
+def test_map_rejects_boolean_endpoints(capsys):
+    for edges in ("[[true,2]]", "[[1,false]]"):
+        code, out, err = run(
+            capsys, ["map", "matching-to-path", '{"m":2,"edges":%s}' % edges]
+        )
+        assert code == 2 and out == "" and "boolean" in err
 
 
 def test_table_negative_max_i_exits_2(capsys):

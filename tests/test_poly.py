@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tricatalan.poly import Poly
+from tricatalan.poly import Poly, histogram_poly
 
 coeff_lists = st.lists(st.integers(min_value=-50, max_value=50), max_size=8)
 
@@ -12,6 +12,9 @@ def test_add_examples():
     assert Poly((2, 1)) + Poly((3, 2)) == Poly((5, 3))
     p = Poly((7, 0, 2))
     assert p + Poly.zero() == p
+    # Sums are built without the constructor, so they must trim themselves.
+    assert (Poly((1, 2)) + Poly((0, -2))).coeffs == (1,)
+    assert (Poly((1,)) + Poly((-1,))).coeffs == ()
 
 
 def test_mul_x():
@@ -61,6 +64,22 @@ def test_json_rendering():
 def test_rejects_non_integers():
     with pytest.raises(TypeError):
         Poly((1.5,))
+
+
+def test_histogram_poly():
+    assert histogram_poly([0, 2, 2]) == Poly((1, 0, 2))
+    assert histogram_poly(iter([3])).coeffs == (0, 0, 0, 1)
+    assert histogram_poly([]) == Poly.zero()
+    with pytest.raises(ValueError):
+        histogram_poly([1, -1])
+
+
+@given(st.lists(st.integers(min_value=0, max_value=9)))
+def test_histogram_poly_counts_every_value(values):
+    p = histogram_poly(values)
+    assert p.eval_at_one() == len(values)
+    assert all(p.coefficient(k) == values.count(k) for k in range(11))
+    assert Poly(p.coeffs) == p
 
 
 @given(coeff_lists)
