@@ -250,8 +250,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="run every identity suite and exit 0 only if all pass",
         description=(
             "Closed-form identities run for n = 1..max-n; brute-force family"
-            " checks are capped at fixed desk scales (paths i <= 14,"
-            " matchings i <= 12, tree counts n <= 8, tree bijection n <= 7)"
+            " checks are capped at fixed desk scales"
+            f" (paths i <= {verify_mod.PATH_ORACLE_MAX_I},"
+            f" matchings i <= {verify_mod.MATCHING_MAX_I},"
+            f" tree counts n <= {verify_mod.TREE_COUNT_MAX_N},"
+            f" tree bijection n <= {verify_mod.TREE_BIJECTION_MAX_N})"
             " and report the range actually run."
         ),
     )

@@ -20,7 +20,6 @@ Nodes are nested tuples: a node is the tuple of its children, a leaf is ().
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import NOT_IN_IMAGE, DomainError, ParseError
 from .lattice import EAST, NORTH, parse_path
@@ -50,6 +49,8 @@ class EvenTree:
     dotted: bool = False
 
     def __post_init__(self) -> None:
+        if not isinstance(self.dotted, bool):
+            raise ParseError(f"dotted flag must be a boolean, got {self.dotted!r}")
         root = _freeze(self.root)
         _check_even(root)
         if self.dotted:
@@ -82,30 +83,25 @@ def _right_degree_sum(node: Node) -> int:
     return total
 
 
-@lru_cache(maxsize=None)
-def _forests(edges: int) -> tuple[Node, ...]:
-    """All child sequences (any length) whose subtrees use exactly `edges` edges."""
-    if edges == 0:
-        return ((),)
-    out = []
-    for size in range(0, edges, 2):
-        for first in _nodes(size):
-            for rest in _forests(edges - 1 - size):
-                out.append((first,) + rest)
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _nodes(edges: int) -> tuple[Node, ...]:
-    """All even-tree nodes with exactly `edges` edges below them."""
-    return tuple(f for f in _forests(edges) if len(f) % 2 == 0)
-
-
 def enumerate_even_trees(edge_count: int) -> list[EvenTree]:
     """All even trees with the given edge count, ordered by parenthesis encoding."""
     if edge_count < 0 or edge_count % 2 != 0:
         raise ValueError(f"edge count must be even and nonnegative, got {edge_count}")
-    roots = sorted(_nodes(edge_count), key=_node_paren)
+    # forests[e]: every child sequence whose subtrees use exactly e edges;
+    # nodes[e]: those of even length, the even-tree nodes with e edges below.
+    forests: list[tuple[Node, ...]] = [((),)]
+    nodes: list[tuple[Node, ...]] = [((),)]
+    for edges in range(1, edge_count + 1):
+        forests.append(
+            tuple(
+                (first,) + rest
+                for size in range(0, edges, 2)
+                for first in nodes[size]
+                for rest in forests[edges - 1 - size]
+            )
+        )
+        nodes.append(tuple(f for f in forests[edges] if len(f) % 2 == 0))
+    roots = sorted(nodes[edge_count], key=_node_paren)
     return [EvenTree(root) for root in roots]
 
 
@@ -257,9 +253,4 @@ def _node_to_json(node: Node) -> list:
 def tree_from_json(obj: object) -> EvenTree:
     if not isinstance(obj, dict) or set(obj) != {"dotted", "root"}:
         raise ParseError('tree JSON must be {"dotted": bool, "root": [...]}')
-    dotted = obj["dotted"]
-    if not isinstance(dotted, bool):
-        raise ParseError('"dotted" must be a boolean')
-    if not isinstance(obj["root"], list):
-        raise ParseError('"root" must be a list')
-    return EvenTree(_freeze(obj["root"]), dotted)
+    return EvenTree(obj["root"], obj["dotted"])

@@ -38,6 +38,11 @@ from .poly import Poly, histogram_poly
 FORBIDDEN_PATTERN = (1, 2, 3, 1, 2)
 
 
+def _integer_error(what: str, value: object) -> ParseError:
+    kind = "the boolean " if isinstance(value, bool) else ""
+    return ParseError(f"{what} must be an integer, got {kind}{value!r}")
+
+
 @dataclass(frozen=True)
 class PartialMatching:
     """Points 1..m with disjoint edges (a, b), a < b; edges kept sorted by a."""
@@ -46,20 +51,31 @@ class PartialMatching:
     edges: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self) -> None:
+        # type(...) is int, not isinstance: bool is an int subclass.
+        if type(self.m) is not int:
+            raise _integer_error("point count", self.m)
         if self.m < 0:
             raise ParseError("point count must be nonnegative")
-        edges = tuple(sorted(tuple(e) for e in self.edges))
+        if not isinstance(self.edges, (tuple, list)):
+            raise ParseError(f"edges {self.edges!r} are not a sequence of pairs")
+        pairs = []
         seen: set[int] = set()
-        for e in edges:
-            if len(e) != 2 or not all(isinstance(p, int) for p in e):
-                raise ParseError(f"edge {e!r} is not a pair of integers")
+        for e in self.edges:
+            if not isinstance(e, (tuple, list)) or len(e) != 2:
+                raise ParseError(f"edge {e!r} is not a pair")
             a, b = e
+            if type(a) is not int or type(b) is not int:
+                bad = b if type(a) is int else a
+                raise _integer_error(f"edge {e!r}: each endpoint", bad)
             if not (1 <= a < b <= self.m):
                 raise ParseError(f"edge ({a},{b}) is not inside 1..{self.m}")
             if a in seen or b in seen:
                 raise ParseError(f"edge ({a},{b}) reuses an endpoint")
-            seen.update(e)
-        object.__setattr__(self, "edges", edges)
+            seen.add(a)
+            seen.add(b)
+            pairs.append((a, b))
+        pairs.sort()
+        object.__setattr__(self, "edges", tuple(pairs))
 
     def covered(self) -> set[int]:
         return {p for e in self.edges for p in e}
@@ -330,17 +346,4 @@ def matching_to_json(matching: PartialMatching) -> dict:
 def matching_from_json(obj: object) -> PartialMatching:
     if not isinstance(obj, dict) or set(obj) != {"m", "edges"}:
         raise ParseError('matching JSON must be {"m": int, "edges": [[a,b],...]}')
-    m = obj["m"]
-    edges = obj["edges"]
-    if not isinstance(m, int) or isinstance(m, bool):
-        raise ParseError('"m" must be an integer')
-    if not isinstance(edges, list):
-        raise ParseError('"edges" must be a list of pairs')
-    pairs = []
-    for e in edges:
-        if not isinstance(e, list) or len(e) != 2:
-            raise ParseError(f"edge {e!r} is not a pair")
-        if any(isinstance(p, bool) for p in e):
-            raise ParseError(f"edge {e!r} has a boolean endpoint, not an integer")
-        pairs.append(tuple(e))
-    return PartialMatching(m, tuple(pairs))
+    return PartialMatching(obj["m"], obj["edges"])

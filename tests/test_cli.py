@@ -82,6 +82,23 @@ def test_verify_fault_injection_exits_1_with_witness(capsys, monkeypatch):
     assert "overall: FAIL" in out
 
 
+# sha256 of a passing `verify --max-n 2 --seed 0` report, which pins the check
+# names, scopes, field order and line layout of all three formats.
+VERIFY_2_SHA256 = {
+    "text": "1dd56887e9c6591f7b58c87c8526be58dfdd003d76cc56ab7e3b444b27afaecd",
+    "json": "131fb51ad68b079dbf59ef235bfeb066913ae33aab67b0a10de0d94a419f32b5",
+    "csv": "82f888f28deae378089049221207e1c70bc03494ab26a784d31a2d1133fcfc66",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(VERIFY_2_SHA256))
+def test_verify_report_bytes_unchanged(capsys, fmt):
+    argv = ["verify", "--max-n", "2", "--seed", "0", "--format", fmt]
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_2_SHA256[fmt]
+
+
 def test_verify_bad_max_n_is_usage_error(capsys):
     code, _, err = run(capsys, ["verify", "--max-n", "0"])
     assert code == 2

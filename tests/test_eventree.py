@@ -36,6 +36,9 @@ def test_dotted_invariants():
         EvenTree((), dotted=True)
     with pytest.raises(ParseError):
         EvenTree((CHERRY, LEAF), dotted=True)  # first child must be a leaf
+    for flag in (1, 0, None, "yes"):
+        with pytest.raises(ParseError, match="boolean"):
+            EvenTree(CHERRY, dotted=flag)
 
 
 def test_edge_count():

@@ -42,6 +42,25 @@ def test_construction_validates():
         PartialMatching(-1)
 
 
+@pytest.mark.parametrize(
+    "m, edges, boolean",
+    [
+        (True, (), True),
+        (2, ((True, 2),), True),
+        (2, ((1, False),), True),
+        ("3", (), False),
+        (3, ((1, "2"), (1, 3)), False),
+        (3, ((1, 2.0),), False),
+        (3, ((1,),), False),
+        (3, (7,), False),
+    ],
+)
+def test_construction_rejects_non_integers(m, edges, boolean):
+    with pytest.raises(ParseError) as exc:
+        PartialMatching(m, edges)
+    assert ("boolean" in str(exc.value)) == boolean
+
+
 def test_edges_stored_sorted():
     m = PartialMatching(6, ((3, 5), (1, 2)))
     assert m.edges == ((1, 2), (3, 5))

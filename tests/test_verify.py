@@ -1,0 +1,90 @@
+"""Every verify check must be able to fail, and say where."""
+
+import random
+
+import pytest
+
+from tricatalan import cli, eventree, lattice, matching, verify
+from tricatalan.poly import Poly
+
+
+def corrupt(monkeypatch, module, name, target, wrong):
+    """Make module.name return wrong(result) when called with exactly target."""
+    real = getattr(module, name)
+
+    def faulty(*args):
+        result = real(*args)
+        return wrong(result) if args == target else result
+
+    monkeypatch.setattr(module, name, faulty)
+
+
+def plus_one(value):
+    return value + 1
+
+
+def plus_one_poly(p):
+    return p + Poly.one()
+
+
+def reversed_path(path):
+    return path[::-1]
+
+
+EEENEN_MATCHING = matching.PartialMatching(4, ((1, 3), (2, 4)))
+# The first sample the shift-lift check draws at seed 0, after one shift.
+FIRST_SHIFTED = matching.shift(verify._random_matching(random.Random(0), 12))
+
+# check -> (module, function, arguments to corrupt, corruption, text in witness)
+FAULTS = {
+    "path-enumeration-vs-table": (
+        lattice, "weight_exponent", ("EEEN",), plus_one, "(i,j)=(3,1)"
+    ),
+    "corner-coefficient-formula": (
+        lattice, "catalan3_coeff", (2, 1), plus_one, "n=2 k=1"
+    ),
+    "descent-closed-form": (lattice, "descent_poly", (3,), plus_one_poly, "n=2"),
+    "odd-column-row-sum": (lattice, "lattice_poly", (3, 0), plus_one_poly, "n=2"),
+    "on-line-collapse": (lattice, "lattice_poly", (4, 1), plus_one_poly, "n=2"),
+    "matching-class-counts": (
+        matching, "crossings", (EEENEN_MATCHING,), plus_one, "(i,j)=(4,2)"
+    ),
+    "matching-bijection": (
+        matching, "matching_to_path", (EEENEN_MATCHING,), reversed_path,
+        "path 'EEENEN'",
+    ),
+    "even-tree-counts": (eventree, "r_index_poly", (2,), plus_one_poly, "n=2"),
+    "even-tree-bijection": (
+        eventree, "tree_to_path", (eventree.path_to_tree("EEEENN"),), reversed_path,
+        "path 'EEEENN'",
+    ),
+    "shift-lift-crossing-deltas": (
+        matching, "crossings", (FIRST_SHIFTED,), plus_one,
+        "shift changed crossings on {'m': 6,",
+    ),
+}
+
+
+def test_every_check_has_a_fault():
+    assert set(FAULTS) == {c.name for c in verify.run_verify(1).checks}
+
+
+@pytest.mark.parametrize("check", FAULTS)
+def test_fault_injection_fails_the_check(monkeypatch, check):
+    module, name, target, wrong, where = FAULTS[check]
+    corrupt(monkeypatch, module, name, target, wrong)
+    report = verify.run_verify(2)
+    result = next(c for c in report.checks if c.name == check)
+    assert not result.passed
+    assert where in result.detail
+    assert not report.overall
+
+
+def test_verify_help_states_the_caps(capsys, monkeypatch):
+    monkeypatch.setattr(verify, "MATCHING_MAX_I", 13)
+    monkeypatch.setattr(verify, "TREE_BIJECTION_MAX_N", 6)
+    with pytest.raises(SystemExit):
+        cli.main(["verify", "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    assert "paths i <= 14" in text and "matchings i <= 13" in text
+    assert "tree counts n <= 8" in text and "tree bijection n <= 6" in text
