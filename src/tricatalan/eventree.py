@@ -60,6 +60,15 @@ class EvenTree:
                 raise ParseError("dotted tree must have a leaf first child")
         object.__setattr__(self, "root", root)
 
+    @classmethod
+    def _trusted(cls, root: Node, dotted: bool) -> EvenTree:
+        """Wrap a nested-tuple root that already satisfies every invariant
+        (even degrees, leaf first child when dotted), skipping the checks."""
+        tree = object.__new__(cls)
+        object.__setattr__(tree, "root", root)
+        object.__setattr__(tree, "dotted", dotted)
+        return tree
+
     def edge_count(self) -> int:
         return _subtree_edges(self.root)
 
@@ -125,8 +134,8 @@ def paren(tree: EvenTree) -> str:
 def tree_shift(tree: EvenTree) -> EvenTree:
     """East step: solidify the dotted pair, or add a new dotted outer leaf pair."""
     if tree.dotted:
-        return EvenTree(tree.root, False)
-    return EvenTree(((),) + tree.root + ((),), True)
+        return EvenTree._trusted(tree.root, False)
+    return EvenTree._trusted(((),) + tree.root + ((),), True)
 
 
 def tree_lift(tree: EvenTree, i: int, j: int) -> EvenTree:
@@ -146,20 +155,20 @@ def tree_lift(tree: EvenTree, i: int, j: int) -> EvenTree:
         if len(root) < 4:
             raise DomainError("lift unavailable: root degree below four")
         new_last = (root[1],) + root[-1] + (root[-2],)
-        return EvenTree((root[0],) + root[2:-2] + (new_last,), True)
+        return EvenTree._trusted((root[0],) + root[2:-2] + (new_last,), True)
     if j == i // 2 - 1:
         return tree
     # Move the outer pair, with subtrees, to the outside of the second child.
     if len(root) < 4:
         raise DomainError("lift unavailable: root degree below four")
     new_first = (root[0],) + root[1] + (root[-1],)
-    return EvenTree((new_first,) + root[2:-1], False)
+    return EvenTree._trusted((new_first,) + root[2:-1], False)
 
 
 def path_to_tree(path: str) -> EvenTree:
     """Fold a path into a tree: shift per east step, lift per north step."""
     parse_path(path)
-    tree = EvenTree()
+    tree = EvenTree._trusted((), False)
     x = y = 0
     for ch in path:
         if ch == EAST:
@@ -203,7 +212,7 @@ def tree_to_path(tree: EvenTree, endpoint: tuple[int, int] | None = None) -> str
         if i % 2 == 1:
             if root[-1] == ():
                 # Inverse shift: drop the dotted outer leaves.
-                tree = EvenTree(root[1:-1], False)
+                tree = EvenTree._trusted(root[1:-1], False)
                 steps.append(EAST)
                 i -= 1
             else:
@@ -212,7 +221,7 @@ def tree_to_path(tree: EvenTree, endpoint: tuple[int, int] | None = None) -> str
                 if j < 1 or len(root[-1]) < 2:
                     raise DomainError(NOT_IN_IMAGE)
                 last = root[-1]
-                tree = EvenTree(
+                tree = EvenTree._trusted(
                     (root[0], last[0]) + root[1:-1] + (last[-1], last[1:-1]), True
                 )
                 steps.append(NORTH)
@@ -224,7 +233,7 @@ def tree_to_path(tree: EvenTree, endpoint: tuple[int, int] | None = None) -> str
                 # Inverse shift: the outer pair was dotted before this step.
                 if len(root) < 2:
                     raise DomainError(NOT_IN_IMAGE)
-                tree = EvenTree(root, True)
+                tree = EvenTree._trusted(root, True)
                 steps.append(EAST)
                 i -= 1
             else:
@@ -233,7 +242,9 @@ def tree_to_path(tree: EvenTree, endpoint: tuple[int, int] | None = None) -> str
                 if j < 1 or len(root[0]) < 2:
                     raise DomainError(NOT_IN_IMAGE)
                 first = root[0]
-                tree = EvenTree((first[0], first[1:-1]) + root[1:] + (first[-1],), False)
+                tree = EvenTree._trusted(
+                    (first[0], first[1:-1]) + root[1:] + (first[-1],), False
+                )
                 steps.append(NORTH)
                 j -= 1
     if tree.root or tree.dotted:

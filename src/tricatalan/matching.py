@@ -19,14 +19,24 @@ right endpoint per isolated point, see completed_sequence): the dangling
 reading above, not the bare canonical form, is what makes the generated
 class match the path counts.
 
+The completed form is a perfect-matching word (every label occurs twice),
+so it contains 1,2,3,1,2 exactly when two arcs A and B cross (open A <
+open B < close A < close B) and a third arc opens strictly between open B
+and close A: the arc-diagram reading of crossings in Chen, Deng, Du,
+Stanley and Yan, "Crossings and nestings of matchings and partitions"
+(Trans. AMS, 2007), and in Jelinek, "Dyck paths and pattern-avoiding
+matchings" (Electron. J. Combin., 2007).  contains_forbidden tests that
+criterion with one sweep over the arcs.
+
 enumerate_matchings is a deliberately naive brute force (choose the covered
-points, try every pairing, filter) so that it can serve as an independent
-oracle for the bijection; it shares no code with shift/lift.
+points, try every pairing, filter with the generic subsequence matcher
+contains_pattern) so that it can serve as an independent oracle for the
+bijection; it shares no code with shift/lift or with the arc sweep.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator, Sequence
@@ -77,6 +87,15 @@ class PartialMatching:
         pairs.sort()
         object.__setattr__(self, "edges", tuple(pairs))
 
+    @classmethod
+    def _trusted(cls, m: int, edges: tuple[tuple[int, int], ...]) -> PartialMatching:
+        """Wrap fields that already satisfy every invariant (sorted, disjoint
+        int pairs inside 1..m), skipping the checks."""
+        matching = object.__new__(cls)
+        object.__setattr__(matching, "m", m)
+        object.__setattr__(matching, "edges", edges)
+        return matching
+
     def covered(self) -> set[int]:
         return {p for e in self.edges for p in e}
 
@@ -116,9 +135,53 @@ def contains_forbidden(matching: PartialMatching) -> bool:
 
     Containment is order-isomorphic subsequence containment on the completed
     sequential form, so an isolated point can close a pattern edge the way a
-    crossing edge would.
+    crossing edge would.  Since every label of that form occurs twice, this
+    holds iff two arcs A, B cross (open A < open B < close A < close B) and
+    some arc opens strictly between open B and close A (Chen, Deng, Du,
+    Stanley and Yan 2007; Jelinek 2007), which is decided in O(m log m).
     """
-    return contains_pattern(_completed(matching.m, matching.edges), FORBIDDEN_PATTERN)
+    return _crossing_pair_with_opener_inside(matching.m, matching.edges)
+
+
+def _crossing_pair_with_opener_inside(
+    m: int, edges: Sequence[tuple[int, int]]
+) -> bool:
+    """The arc criterion of contains_forbidden, by one sweep over the openers.
+
+    Openers are the isolated points and left endpoints; the isolated point
+    opening the t-th arc from the right closes virtually at m + t, as in
+    _completed.  For each arc B, a crossing A with an opener inside
+    (open B, close A) exists iff some arc opened before B closes strictly
+    between the next opener after B and close B.  A Fenwick tree over close
+    positions counts the closes of the arcs opened so far.
+    """
+    close_of = dict(edges)
+    right = set(close_of.values())
+    openers = [p for p in range(1, m + 1) if p not in right]
+    closes = []
+    virtual = m
+    for p in reversed(openers):
+        if p not in close_of:
+            virtual += 1
+        closes.append(close_of.get(p, virtual))
+    closes.reverse()
+    tree = [0] * (virtual + 1)
+
+    def closed_up_to(pos: int) -> int:
+        total = 0
+        while pos > 0:
+            total += tree[pos]
+            pos &= pos - 1
+        return total
+
+    for nxt, close_b in zip(openers[1:], closes):
+        if closed_up_to(close_b - 1) > closed_up_to(nxt):
+            return True
+        pos = close_b
+        while pos <= virtual:
+            tree[pos] += 1
+            pos += pos & -pos
+    return False
 
 
 def contains_pattern(seq: Sequence[int], pattern: Sequence[int]) -> bool:
@@ -263,7 +326,7 @@ def crossing_poly(points: int, edge_count: int) -> Poly:
 
 def shift(matching: PartialMatching) -> PartialMatching:
     """Append an isolated point after the last point; crossings unchanged."""
-    return PartialMatching(matching.m + 1, matching.edges)
+    return PartialMatching._trusted(matching.m + 1, matching.edges)
 
 
 def lift(matching: PartialMatching) -> PartialMatching:
@@ -283,13 +346,15 @@ def lift(matching: PartialMatching) -> PartialMatching:
     else:
         k = count // 2
         edge = (iso[k - 1], iso[k + 1])
-    return PartialMatching(matching.m, matching.edges + (edge,))
+    edges = list(matching.edges)
+    insort(edges, edge)
+    return PartialMatching._trusted(matching.m, tuple(edges))
 
 
 def path_to_matching(path: str) -> PartialMatching:
     """Fold a path into a matching: shift per east step, lift per north step."""
     parse_path(path)
-    matching = PartialMatching(0)
+    matching = PartialMatching._trusted(0, ())
     for ch in path:
         matching = shift(matching) if ch == EAST else lift(matching)
     return matching

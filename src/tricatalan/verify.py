@@ -4,7 +4,9 @@ Every check compares two independent routes to the same numbers.  A check
 is a generator of counterexample witnesses: each string it yields names the
 position or object where the routes disagree and the property that failed.
 A check passes when it yields nothing; run_verify reports the first witness
-of a failing check and stops that check there.  Closed-form identities scale
+of a failing check and stops that check there.  An exception raised while a
+check runs is that check's witness, so one crashing route fails its check
+and the report is still complete.  Closed-form identities scale
 with the requested max_n; the brute-force families are capped at fixed desk
 scales (they grow super-exponentially), and every check reports the range it
 actually ran.
@@ -270,6 +272,11 @@ def run_verify(max_n: int, seed: int = 0) -> VerifyReport:
     ]
     report = VerifyReport()
     for name, scope, witnesses in checks:
-        witness = next(witnesses, None)
+        try:
+            witness = next(witnesses, None)
+        except Exception as exc:
+            # The code under check failed on an input it must accept: that
+            # is this check's counterexample, and the other checks still run.
+            witness = f"raised {type(exc).__name__}: {exc}"
         report.checks.append(CheckResult(name, scope, witness is None, witness or ""))
     return report

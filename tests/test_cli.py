@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import tricatalan
-from tricatalan import cli, lattice
+from tricatalan import cli, lattice, matching
 from tricatalan.verify import run_verify
 
 
@@ -340,6 +341,40 @@ def test_map_rejects_boolean_endpoints(capsys):
             capsys, ["map", "matching-to-path", '{"m":2,"edges":%s}' % edges]
         )
         assert code == 2 and out == "" and "boolean" in err
+
+
+@pytest.mark.parametrize(
+    "kind, value",
+    [
+        ("tree-to-path", '{"dotted":false,"root":[[],[],[[]],[]]}'),
+        ("tree-to-path", '{"dotted":[],"root":[[],[]]}'),
+        ("matching-to-tree", '{"m":2,"edges":[[true,2]]}'),
+    ],
+)
+def test_map_refuses_hostile_objects_at_the_boundary(capsys, kind, value):
+    code, out, err = run(capsys, ["map", kind, value])
+    assert code == 2 and out == "" and err.startswith("error: ")
+
+
+def test_map_matching_to_path_on_a_long_matching(capsys):
+    rng = random.Random(600)
+    steps, x, y = [], 0, 0
+    while x < 400:
+        if x >= 2 * (y + 1) and y < 200 and rng.random() < 0.4:
+            steps.append("N")
+            y += 1
+        else:
+            steps.append("E")
+            x += 1
+    path = "".join(steps) + "N" * (200 - y)
+    assert len(path) == 600
+    folded = matching.path_to_matching(path)
+    code, out, _ = run(
+        capsys,
+        ["map", "matching-to-path", json.dumps(matching.matching_to_json(folded)),
+         "--format", "text"],
+    )
+    assert code == 0 and out == path + "\n"
 
 
 def test_table_negative_max_i_exits_2(capsys):

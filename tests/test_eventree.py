@@ -204,6 +204,29 @@ def test_roundtrip_at_intermediate_positions():
             assert len(set(images)) == len(images)
 
 
+def test_fold_and_unfold_states_equal_their_revalidated_copies(monkeypatch):
+    # The fold and unfold steps skip the constructor's checks, so every tree
+    # they build must be one the constructor would accept, and compare and
+    # hash like it (verify compares these trees as sets).
+    built = []
+    trusted = EvenTree._trusted
+
+    def recording(cls, root, dotted):
+        state = trusted(root, dotted)
+        built.append(state)
+        return state
+
+    monkeypatch.setattr(EvenTree, "_trusted", classmethod(recording))
+    for i in range(13):
+        for j in range(i // 2 + 1):
+            for p in enumerate_paths(i, j):
+                assert tree_to_path(path_to_tree(p), (i, j)) == p
+    assert len(built) > 10 ** 4
+    for state in built:
+        checked = EvenTree(state.root, state.dotted)
+        assert checked == state and hash(checked) == hash(state)
+
+
 def test_even_tree_count_matches_catalan3():
     for n in range(1, 7):
         assert len(enumerate_even_trees(2 * n)) == catalan3(n)

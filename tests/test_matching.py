@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from tricatalan import matching
 from tricatalan.errors import DomainError, ParseError
 from tricatalan.lattice import enumerate_paths, weight_exponent
 from tricatalan.matching import (
@@ -139,6 +140,83 @@ def test_contains_forbidden_uses_dangling_reading():
     assert not contains_forbidden(PartialMatching(6, ((1, 3), (4, 5))))
     assert not contains_forbidden(PartialMatching(6, ((2, 4), (3, 5))))
     assert not contains_forbidden(PartialMatching(3))
+
+
+def _all_matchings(m):
+    """Every partial matching on points 1..m."""
+
+    def pairings(free):
+        if not free:
+            yield ()
+            return
+        first, rest = free[0], free[1:]
+        yield from pairings(rest)  # first stays isolated
+        for t, partner in enumerate(rest):
+            for tail in pairings(rest[:t] + rest[t + 1 :]):
+                yield ((first, partner),) + tail
+
+    return [PartialMatching(m, edges) for edges in pairings(list(range(1, m + 1)))]
+
+
+def _backtracker_contains(m):
+    return contains_pattern(completed_sequence(m), FORBIDDEN_PATTERN)
+
+
+def test_arc_detector_agrees_with_backtracker_exhaustively():
+    objects = [pm for m in range(11) for pm in _all_matchings(m)]
+    assert len(objects) == 13232
+    disagree = [pm for pm in objects if contains_forbidden(pm) != _backtracker_contains(pm)]
+    assert disagree == []
+
+
+@given(
+    st.integers(min_value=0, max_value=16),
+    st.lists(st.integers(min_value=0, max_value=10 ** 6), max_size=8),
+)
+def test_arc_detector_agrees_with_backtracker_on_random_matchings(m, seeds):
+    pm = _build_matching(m, seeds)
+    assert contains_forbidden(pm) == _backtracker_contains(pm)
+
+
+def test_oracle_does_not_use_the_arc_detector(monkeypatch):
+    want = enumerate_matchings(8, 3)
+
+    def refuse(*args):
+        raise AssertionError("the oracle must not call the arc detector")
+
+    monkeypatch.setattr(matching, "_crossing_pair_with_opener_inside", refuse)
+    assert enumerate_matchings(8, 3) == want
+
+
+def test_arc_detector_on_long_matchings():
+    assert not contains_forbidden(PartialMatching(6000))
+    assert contains_forbidden(PartialMatching(6000, ((1, 4), (2, 5), (3, 6))))
+    for m in (6, 12):
+        three = PartialMatching(m, ((1, 4), (2, 5), (3, 6)))
+        assert contains_forbidden(three) and _backtracker_contains(three)
+
+
+def test_fold_states_equal_their_revalidated_copies(monkeypatch):
+    # shift, lift and path_to_matching skip the constructor's checks, so
+    # every state they build must be one the constructor would accept, and
+    # compare and hash like it (verify compares these states as sets).
+    built = []
+    trusted = PartialMatching._trusted
+
+    def recording(cls, m, edges):
+        state = trusted(m, edges)
+        built.append(state)
+        return state
+
+    monkeypatch.setattr(PartialMatching, "_trusted", classmethod(recording))
+    for i in range(13):
+        for j in range(i // 2 + 1):
+            for p in enumerate_paths(i, j):
+                path_to_matching(p)
+    assert len(built) > 10 ** 4
+    for state in built:
+        checked = PartialMatching(state.m, state.edges)
+        assert checked == state and hash(checked) == hash(state)
 
 
 def test_enumerate_matchings_small():

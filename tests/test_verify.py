@@ -5,6 +5,7 @@ import random
 import pytest
 
 from tricatalan import cli, eventree, lattice, matching, verify
+from tricatalan.errors import DomainError
 from tricatalan.poly import Poly
 
 
@@ -78,6 +79,27 @@ def test_fault_injection_fails_the_check(monkeypatch, check):
     assert not result.passed
     assert where in result.detail
     assert not report.overall
+
+
+def test_exception_in_checked_code_is_the_witness(capsys, monkeypatch):
+    real = matching.matching_to_path
+
+    def crashing(m):
+        if m == EEENEN_MATCHING:
+            raise DomainError("injected")
+        return real(m)
+
+    monkeypatch.setattr(matching, "matching_to_path", crashing)
+    result = next(
+        c for c in verify.run_verify(2).checks if c.name == "matching-bijection"
+    )
+    assert not result.passed
+    assert result.detail == "raised DomainError: injected"
+    assert cli.main(["verify", "--max-n", "2"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[1] for line in lines[:-1]] == list(FAULTS)
+    assert "FAIL matching-bijection [i <= 4]: raised DomainError" in lines[6]
+    assert lines[-1] == "overall: FAIL"
 
 
 def test_verify_help_states_the_caps(capsys, monkeypatch):
