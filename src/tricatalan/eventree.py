@@ -133,9 +133,11 @@ def paren(tree: EvenTree) -> str:
 
 def tree_shift(tree: EvenTree) -> EvenTree:
     """East step: solidify the dotted pair, or add a new dotted outer leaf pair."""
-    if tree.dotted:
-        return EvenTree._trusted(tree.root, False)
-    return EvenTree._trusted(((),) + tree.root + ((),), True)
+    return EvenTree._trusted(_shift_root(tree.root, tree.dotted), not tree.dotted)
+
+
+def _shift_root(root: Node, dotted: bool) -> Node:
+    return root if dotted else ((),) + root + ((),)
 
 
 def tree_lift(tree: EvenTree, i: int, j: int) -> EvenTree:
@@ -148,36 +150,43 @@ def tree_lift(tree: EvenTree, i: int, j: int) -> EvenTree:
     expected_edges = i + 1 if i % 2 == 1 else i
     if tree.edge_count() != expected_edges:
         raise DomainError("lift unavailable: edge count does not match position")
-    root = tree.root
+    if len(tree.root) < 4 and (i % 2 == 1 or j != i // 2 - 1):
+        raise DomainError("lift unavailable: root degree below four")
+    return EvenTree._trusted(_lift_root(tree.root, i, j), tree.dotted)
+
+
+def _lift_root(root: Node, i: int, j: int) -> Node:
+    """The lift step on the bare root, at a position where it is available.
+
+    Off the identity case the root has at least four children: it gains two
+    per shift at even x and loses two per other lift, so at (i, j) with the
+    lift available it has at least 2 * ceil(i / 2) - 2j >= 4.
+    """
     if i % 2 == 1:
         # Move the two edges adjacent to the dotted pair, with their
         # subtrees, to the outside of the (dotted) last child.
-        if len(root) < 4:
-            raise DomainError("lift unavailable: root degree below four")
         new_last = (root[1],) + root[-1] + (root[-2],)
-        return EvenTree._trusted((root[0],) + root[2:-2] + (new_last,), True)
+        return (root[0],) + root[2:-2] + (new_last,)
     if j == i // 2 - 1:
-        return tree
+        return root
     # Move the outer pair, with subtrees, to the outside of the second child.
-    if len(root) < 4:
-        raise DomainError("lift unavailable: root degree below four")
     new_first = (root[0],) + root[1] + (root[-1],)
-    return EvenTree._trusted((new_first,) + root[2:-1], False)
+    return (new_first,) + root[2:-1]
 
 
 def path_to_tree(path: str) -> EvenTree:
     """Fold a path into a tree: shift per east step, lift per north step."""
     parse_path(path)
-    tree = EvenTree._trusted((), False)
+    root: Node = ()
     x = y = 0
     for ch in path:
         if ch == EAST:
-            tree = tree_shift(tree)
+            root = _shift_root(root, x % 2 == 1)
             x += 1
         else:
-            tree = tree_lift(tree, x, y)
+            root = _lift_root(root, x, y)
             y += 1
-    return tree
+    return EvenTree._trusted(root, x % 2 == 1)
 
 
 def tree_to_path(tree: EvenTree, endpoint: tuple[int, int] | None = None) -> str:

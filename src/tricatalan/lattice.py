@@ -69,22 +69,31 @@ def enumerate_paths(i: int, j: int) -> list[str]:
         return []
     found: list[str] = []
     steps: list[str] = []
-
-    def walk(x: int, y: int) -> None:
+    x = y = 0
+    # Depth first, east before north, with steps as the explicit stack.
+    while True:
         if x == i and y == j:
             found.append("".join(steps))
-            return
         if x < i:
             steps.append(EAST)
-            walk(x + 1, y)
-            steps.pop()
+            x += 1
+            continue
         if y < j and x >= 2 * (y + 1):
             steps.append(NORTH)
-            walk(x, y + 1)
-            steps.pop()
-
-    walk(0, 0)
-    return found
+            y += 1
+            continue
+        # Back up to the last east step that can be turned into a north step.
+        while steps:
+            if steps.pop() == NORTH:
+                y -= 1
+                continue
+            x -= 1
+            if y < j and x >= 2 * (y + 1):
+                steps.append(NORTH)
+                y += 1
+                break
+        else:
+            return found
 
 
 def _columns(max_i: int, max_j: int) -> Iterator[list[tuple[int, ...]]]:

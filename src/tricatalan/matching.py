@@ -26,7 +26,9 @@ and close A: the arc-diagram reading of crossings in Chen, Deng, Du,
 Stanley and Yan, "Crossings and nestings of matchings and partitions"
 (Trans. AMS, 2007), and in Jelinek, "Dyck paths and pattern-avoiding
 matchings" (Electron. J. Combin., 2007).  contains_forbidden tests that
-criterion with one sweep over the arcs.
+criterion with one sweep over the arcs.  matching_to_path does not need it
+to decide membership: it refolds the matching with the same lift rule
+(_lift_positions) and calls contains_forbidden only to explain a rejection.
 
 enumerate_matchings is a deliberately naive brute force (choose the covered
 points, try every pairing, filter with the generic subsequence matcher
@@ -329,78 +331,76 @@ def shift(matching: PartialMatching) -> PartialMatching:
     return PartialMatching._trusted(matching.m + 1, matching.edges)
 
 
-def lift(matching: PartialMatching) -> PartialMatching:
-    """Join two middle isolated points by a new edge.
-
-    With 2k isolated points the k-th and (k+1)-st (by position, 1-indexed)
-    are joined, creating no crossing; with 2k+1 the k-th and (k+2)-nd are
-    joined, covering one point and creating exactly one crossing.
-    """
-    iso = matching.isolated()
-    count = len(iso)
-    if count < 2 or (count % 2 == 1 and count < 3):
+def _lift_positions(count: int) -> tuple[int, int]:
+    """Indices, among count isolated points in order, of the pair lift joins."""
+    if count < 2:
         raise DomainError("lift unavailable at this position")
-    if count % 2 == 0:
-        k = count // 2
-        edge = (iso[k - 1], iso[k])
-    else:
-        k = count // 2
-        edge = (iso[k - 1], iso[k + 1])
+    k = count // 2
+    return k - 1, k + count % 2
+
+
+def lift(matching: PartialMatching) -> PartialMatching:
+    """Join two middle isolated points by a new edge: with 2k isolated points
+    the k-th and (k+1)-st (1-indexed), creating no crossing; with 2k+1 the
+    k-th and (k+2)-nd, covering one point and creating exactly one crossing."""
+    iso = matching.isolated()
+    lo, hi = _lift_positions(len(iso))
     edges = list(matching.edges)
-    insort(edges, edge)
+    insort(edges, (iso[lo], iso[hi]))
     return PartialMatching._trusted(matching.m, tuple(edges))
 
 
 def path_to_matching(path: str) -> PartialMatching:
     """Fold a path into a matching: shift per east step, lift per north step."""
     parse_path(path)
-    matching = PartialMatching._trusted(0, ())
+    iso: list[int] = []
+    edges: list[tuple[int, int]] = []
+    m = 0
     for ch in path:
-        matching = shift(matching) if ch == EAST else lift(matching)
-    return matching
+        if ch == EAST:
+            m += 1
+            iso.append(m)
+        else:
+            lo, hi = _lift_positions(len(iso))
+            edges.append((iso[lo], iso[hi]))
+            del iso[hi], iso[lo]
+    edges.sort()
+    return PartialMatching._trusted(m, tuple(edges))
 
 
 def matching_to_path(matching: PartialMatching) -> str:
     """Reverse construction: recover the unique path folding to this matching.
 
-    Unstepping from (m, #edges): while any edge has equally many isolated
-    points on both sides, the balanced edge with the rightmost right endpoint
-    is unlinked (its endpoints become isolated again, the point count stays)
-    and a north step is recorded; otherwise every edge is strictly
-    left-light, the last point must be isolated, and removing it records an
-    east step.  The recorded steps, reversed, form the path.
+    Refolds from the empty matching: whenever the pair a lift would join is
+    an edge of the target, lift (north step); otherwise shift (east step)
+    while points remain.  The choice is forced.  The left half of the
+    isolated list gains points only from shifts and loses only its top to a
+    lift, so once a shift passes a pair, that pair is never the lift pair
+    again.  The matching is in the image exactly when the refold uses every
+    edge.  Otherwise the error names the first violated class condition,
+    else the forbidden pattern, else says the matching is not in the image.
     """
+    unused = dict(matching.edges)
+    iso: list[int] = []
+    steps: list[str] = []
+    for point in range(1, matching.m + 1):
+        iso.append(point)
+        steps.append(EAST)
+        while len(iso) >= 2:
+            lo, hi = _lift_positions(len(iso))
+            if unused.get(iso[lo]) != iso[hi]:
+                break
+            del unused[iso[lo]], iso[hi], iso[lo]
+            steps.append(NORTH)
+    if not unused:
+        return "".join(steps)
     violation = admissibility_violation(matching)
     if violation is not None:
         raise DomainError(f"not in the generating class: {violation}")
     if contains_forbidden(matching):
-        raise DomainError(
-            "completed sequential form contains the pattern "
-            + sequence_text(FORBIDDEN_PATTERN)
-        )
-    m = matching.m
-    edges = list(matching.edges)
-    steps: list[str] = []
-    while m > 0:
-        covered = {p for e in edges for p in e}
-        iso = [p for p in range(1, m + 1) if p not in covered]
-        balanced: list[tuple[int, int]] = []
-        for a, b in edges:
-            before = bisect_left(iso, a)
-            after = len(iso) - bisect_right(iso, b)
-            if before > after:
-                raise DomainError(NOT_IN_IMAGE)
-            if before == after:
-                balanced.append((a, b))
-        if balanced:
-            edges.remove(max(balanced, key=lambda e: e[1]))
-            steps.append(NORTH)
-        elif iso and iso[-1] == m:
-            m -= 1
-            steps.append(EAST)
-        else:
-            raise DomainError(NOT_IN_IMAGE)
-    return "".join(reversed(steps))
+        pattern = sequence_text(FORBIDDEN_PATTERN)
+        raise DomainError(f"completed sequential form contains the pattern {pattern}")
+    raise DomainError(NOT_IN_IMAGE)
 
 
 def matching_to_json(matching: PartialMatching) -> dict:

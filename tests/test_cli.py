@@ -193,6 +193,12 @@ def test_enum_paths(capsys):
     assert out.splitlines() == ["EEEEN", "EEENE", "EENEE", "count: 3"]
 
 
+def test_enum_paths_along_a_long_axis(capsys):
+    assert sys.getrecursionlimit() <= 1000
+    code, out, _ = run(capsys, ["enum", "paths", "--i", "1200", "--j", "0"])
+    assert code == 0 and out.splitlines() == [json.dumps("E" * 1200)]
+
+
 def test_enum_bounds_violations_exit_2(capsys):
     assert run(capsys, ["enum", "paths", "--i", "1", "--j", "1"])[0] == 2
     assert run(capsys, ["enum", "trees", "--edges", "3"])[0] == 2

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from tricatalan.errors import DomainError, ParseError
@@ -14,8 +16,15 @@ from tricatalan.eventree import (
     tree_to_json,
     tree_to_path,
 )
-from tricatalan.lattice import catalan3, enumerate_paths, lattice_poly, weight_exponent
+from tricatalan.lattice import (
+    catalan3,
+    enumerate_paths,
+    lattice_poly,
+    path_endpoint,
+    weight_exponent,
+)
 from tricatalan.poly import Poly
+from tricatalan.verify import _random_path
 
 LEAF = ()
 CHERRY = (LEAF, LEAF)
@@ -202,6 +211,11 @@ def test_roundtrip_at_intermediate_positions():
                 assert tree_to_path(t, (i, j)) == p
                 images.append(t)
             assert len(set(images)) == len(images)
+
+
+def test_long_path_roundtrip_at_its_endpoint():
+    path = _random_path(random.Random(6000), 6000)
+    assert tree_to_path(path_to_tree(path), path_endpoint(path)) == path
 
 
 def test_fold_and_unfold_states_equal_their_revalidated_copies(monkeypatch):

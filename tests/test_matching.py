@@ -1,3 +1,4 @@
+import random
 from itertools import combinations
 
 import pytest
@@ -28,6 +29,7 @@ from tricatalan.matching import (
 )
 from tricatalan.lattice import lattice_poly
 from tricatalan.poly import Poly
+from tricatalan.verify import _random_path
 
 
 def test_construction_validates():
@@ -200,6 +202,8 @@ def test_fold_states_equal_their_revalidated_copies(monkeypatch):
     # shift, lift and path_to_matching skip the constructor's checks, so
     # every state they build must be one the constructor would accept, and
     # compare and hash like it (verify compares these states as sets).
+    # path_to_matching builds one state per path; stepping each path through
+    # the public shift/lift as well records one state per step.
     built = []
     trusted = PartialMatching._trusted
 
@@ -212,7 +216,10 @@ def test_fold_states_equal_their_revalidated_copies(monkeypatch):
     for i in range(13):
         for j in range(i // 2 + 1):
             for p in enumerate_paths(i, j):
-                path_to_matching(p)
+                stepped = PartialMatching(0)
+                for ch in p:
+                    stepped = shift(stepped) if ch == "E" else lift(stepped)
+                assert path_to_matching(p) == stepped
     assert len(built) > 10 ** 4
     for state in built:
         checked = PartialMatching(state.m, state.edges)
@@ -284,6 +291,38 @@ def test_matching_to_path_rejections_name_the_condition():
         matching_to_path(PartialMatching(5, ((1, 4), (2, 5))))
     with pytest.raises(DomainError, match="pattern"):
         matching_to_path(PartialMatching(6, ((1, 4), (3, 5))))
+
+
+def test_refold_accepts_exactly_the_admissible_avoiding_matchings():
+    for m in range(11):
+        for pm in _all_matchings(m):
+            violation = matching.admissibility_violation(pm)
+            forbidden = _backtracker_contains(pm)
+            if violation is None and not forbidden:
+                assert path_to_matching(matching_to_path(pm)) == pm
+                continue
+            with pytest.raises(DomainError) as exc:
+                matching_to_path(pm)
+            if violation is not None:
+                assert violation in str(exc.value)
+            else:
+                assert sequence_text(FORBIDDEN_PATTERN) in str(exc.value)
+
+
+def test_refold_runs_the_pattern_detector_only_on_rejection(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("an accepted matching needs no pattern check")
+
+    monkeypatch.setattr(matching, "_crossing_pair_with_opener_inside", refuse)
+    for p in enumerate_paths(10, 4):
+        assert matching_to_path(path_to_matching(p)) == p
+
+
+def test_long_path_roundtrip():
+    path = _random_path(random.Random(100), 10 ** 5)
+    folded = path_to_matching(path)
+    assert folded.m == 10 ** 5
+    assert matching_to_path(folded) == path
 
 
 def test_bijection_sweep():
