@@ -15,6 +15,7 @@ from .eventree import (
     r_index,
     r_index_poly,
     tree_from_json,
+    tree_from_paren,
     tree_lift,
     tree_shift,
     tree_to_json,
@@ -66,6 +67,7 @@ __all__ = [
     "r_index",
     "r_index_poly",
     "tree_from_json",
+    "tree_from_paren",
     "tree_lift",
     "tree_shift",
     "tree_to_json",

@@ -38,9 +38,27 @@ def _read_value(value: str) -> str:
     return value
 
 
+def _tree_json(tree: eventree.EvenTree) -> str:
+    """Compact tree JSON written from the paren text, so depth is no limit:
+    siblings ")(" become "],[", then every "(" a "[" and every ")" a "]"."""
+    nodes = tree.body.replace(")(", "],[").replace("(", "[").replace(")", "]")
+    return f'{{"dotted":{_compact(tree.dotted)},"root":[{nodes}]}}'
+
+
+def _decode(value: str) -> object:
+    """json.loads; JSON nested deeper than the decoder allows is a ParseError."""
+    try:
+        return json.loads(value)
+    except RecursionError as exc:
+        raise ParseError(
+            "JSON nested deeper than the decoder allows (about"
+            f" {sys.getrecursionlimit()} levels, the recursion limit)"
+        ) from exc
+
+
 def _path_arg(value: str) -> str:
     try:
-        obj = json.loads(value)
+        obj = _decode(value)
     except json.JSONDecodeError:
         return lattice.parse_path(value)
     if not isinstance(obj, str):
@@ -48,9 +66,18 @@ def _path_arg(value: str) -> str:
     return lattice.parse_path(obj)
 
 
+def _tree_arg(value: str) -> eventree.EvenTree:
+    """Tree JSON, or else the paren text that `enum trees --format text` prints."""
+    try:
+        obj = _decode(value)
+    except json.JSONDecodeError:
+        return eventree.tree_from_paren(value)
+    return eventree.tree_from_json(obj)
+
+
 def _json_arg(value: str) -> object:
     try:
-        return json.loads(value)
+        return _decode(value)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}") from exc
 
@@ -116,15 +143,16 @@ def cmd_map(args: argparse.Namespace) -> int:
     elif kind == "matching-to-path":
         path = matching.matching_to_path(matching.matching_from_json(_json_arg(value)))
         print(_compact(path) if args.format == "json" else path)
-    elif kind == "path-to-tree":
-        result = eventree.path_to_tree(_path_arg(value))
-        print(_compact(eventree.tree_to_json(result)))
     elif kind == "tree-to-path":
-        path = eventree.tree_to_path(eventree.tree_from_json(_json_arg(value)))
+        path = eventree.tree_to_path(_tree_arg(value))
         print(_compact(path) if args.format == "json" else path)
-    else:  # matching-to-tree, composed through the path
-        path = matching.matching_to_path(matching.matching_from_json(_json_arg(value)))
-        print(_compact(eventree.tree_to_json(eventree.path_to_tree(path))))
+    else:
+        if kind == "path-to-tree":
+            path = _path_arg(value)
+        else:  # matching-to-tree, composed through the path
+            path = matching.matching_to_path(matching.matching_from_json(_json_arg(value)))
+        tree = eventree.path_to_tree(path)
+        print(_tree_json(tree) if args.format == "json" else eventree.paren(tree))
     return 0
 
 
@@ -170,11 +198,7 @@ def cmd_enum(args: argparse.Namespace) -> int:
         elif family == "matchings":
             line = _compact(matching.matching_to_json(obj))
         else:
-            line = (
-                _compact(eventree.tree_to_json(obj))
-                if args.format == "json"
-                else eventree.paren(obj)
-            )
+            line = _tree_json(obj) if args.format == "json" else eventree.paren(obj)
         print(line)
     if args.format == "text":
         print(f"count: {len(objects)}")

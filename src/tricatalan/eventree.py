@@ -14,104 +14,148 @@ moves to the outside of the root's second child (r-index unchanged), except
 that the lift onto the boundary line is the identity.  The dotted flag is a
 single bit on the tree because only the root's outer pair is ever dotted.
 
-Nodes are nested tuples: a node is the tuple of its children, a leaf is ().
+A tree is stored flat: the paren text of the root's children and the dotted
+bit, so equality, hashing and every statistic are loops over one string at
+any depth.  The folds work on a form in which every vertex is a deque of its
+children (the fold keeps its leaves as ()); each step pushes and pops at or
+next to the ends of the root and of one child, in O(1), and a fold converts
+to or from the text once.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 from .errors import NOT_IN_IMAGE, DomainError, ParseError
 from .lattice import EAST, NORTH, parse_path
 from .poly import Poly, histogram_poly
 
-Node = tuple  # recursively: tuple[Node, ...]
+
+class _Vertex(deque):
+    """A vertex of the working form: the deque of its children.  CPython frees
+    nested plain deques by C recursion, which overflows the stack on a deep
+    tree; instances of a subclass are freed iteratively."""
+
+    __slots__ = ()
 
 
-def _freeze(node: object) -> Node:
-    if not isinstance(node, (tuple, list)):
-        raise ParseError(f"tree node must be a sequence of children, got {node!r}")
-    return tuple(_freeze(c) for c in node)
-
-
-def _check_even(node: Node) -> None:
-    if len(node) % 2 != 0:
-        raise ParseError(f"vertex with {len(node)} children: every degree must be even")
-    for c in node:
-        _check_even(c)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class EvenTree:
-    """root is the tuple of the root's children; dotted marks the outer pair."""
+    """body is the paren text of the root's children (paren without the "*");
+    dotted marks the outer pair."""
 
-    root: Node = ()
-    dotted: bool = False
+    body: str
+    dotted: bool
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.dotted, bool):
-            raise ParseError(f"dotted flag must be a boolean, got {self.dotted!r}")
-        root = _freeze(self.root)
-        _check_even(root)
-        if self.dotted:
-            if len(root) < 2:
-                raise ParseError("dotted tree needs at least two root children")
-            if root[0] != ():
-                raise ParseError("dotted tree must have a leaf first child")
-        object.__setattr__(self, "root", root)
+    def __init__(self, root: object = (), dotted: bool = False) -> None:
+        """Build from the root's children as nested sequences, a leaf being ()."""
+        if not isinstance(dotted, bool):
+            raise ParseError(f"dotted flag must be a boolean, got {dotted!r}")
+        body = _paren_body(root)
+        _check(body, dotted)
+        object.__setattr__(self, "body", body)
+        object.__setattr__(self, "dotted", dotted)
 
     @classmethod
-    def _trusted(cls, root: Node, dotted: bool) -> EvenTree:
-        """Wrap a nested-tuple root that already satisfies every invariant
-        (even degrees, leaf first child when dotted), skipping the checks."""
+    def _trusted(cls, body: str, dotted: bool) -> EvenTree:
+        """Wrap paren text that already satisfies every invariant (balanced,
+        even degrees, leaf first child when dotted), skipping the checks."""
         tree = object.__new__(cls)
-        object.__setattr__(tree, "root", root)
+        object.__setattr__(tree, "body", body)
         object.__setattr__(tree, "dotted", dotted)
         return tree
 
     def edge_count(self) -> int:
-        return _subtree_edges(self.root)
+        return len(self.body) // 2
 
 
-def _subtree_edges(node: Node) -> int:
-    return sum(1 + _subtree_edges(c) for c in node)
+def _paren_body(root: object) -> str:
+    """The paren text of the children of root, given as nested sequences;
+    walked with an explicit stack, the root checked like the other vertices."""
+    out: list[str] = []
+    stack = [iter((root,))]
+    while stack:
+        for child in stack[-1]:  # write leaves, descend into the next inner child
+            if not isinstance(child, (tuple, list, _Vertex)):
+                raise ParseError(f"tree node must be a sequence of children, got {child!r}")
+            if child:
+                out.append("(")
+                stack.append(iter(child))
+                break
+            out.append("()")
+        else:
+            out.append(")")
+            stack.pop()
+    return "".join(out)[1:-2]  # without the root's parentheses and the last ")"
+
+
+def _check(body: str, dotted: bool) -> None:
+    """Refuse paren text that is unbalanced or has a vertex of odd degree, and
+    a dotted tree without two root children of which the first is a leaf."""
+    degrees = [0]  # children seen so far of each open vertex, the root first
+    for k, ch in enumerate(body + ")"):  # the final ")" closes the root
+        if ch == "(":
+            degrees[-1] += 1
+            degrees.append(0)
+        elif ch != ")":
+            raise ParseError(f"tree text: unexpected {ch!r} at index {k + dotted}")
+        elif (len(degrees) == 1) != (k == len(body)):
+            raise ParseError(f"tree text: unbalanced parentheses at index {k + dotted}")
+        elif (degree := degrees.pop()) % 2 != 0:
+            raise ParseError(f"vertex with {degree} children: every degree must be even")
+    if dotted and not body.startswith("()"):
+        raise ParseError("dotted tree needs at least two root children, the first a leaf")
+
+
+def _nested(body: str, vertex: type) -> list | _Vertex:
+    """The root's children as nested containers of type vertex (list or _Vertex)."""
+    stack = [vertex()]
+    for ch in body:
+        if ch == "(":
+            child = vertex()
+            stack[-1].append(child)
+            stack.append(child)
+        else:
+            stack.pop()
+    return stack[0]
 
 
 def r_index(tree: EvenTree) -> int:
     """Half the sum of right-child degrees; dotted edges count as ordinary."""
-    total = _right_degree_sum(tree.root)
+    total = 0
+    stack: list[list[int]] = [[]]  # child degrees seen so far, per open vertex
+    for ch in "(" + tree.body + ")":  # the root is a vertex like the others
+        if ch == "(":
+            stack.append([])
+        else:
+            degrees = stack.pop()
+            stack[-1].append(len(degrees))
+            total += sum(degrees[len(degrees) // 2 :])
     assert total % 2 == 0, "sum of right-child degrees must be even"
     return total // 2
-
-
-def _right_degree_sum(node: Node) -> int:
-    half = len(node) // 2
-    total = sum(len(c) for c in node[half:])
-    for c in node:
-        total += _right_degree_sum(c)
-    return total
 
 
 def enumerate_even_trees(edge_count: int) -> list[EvenTree]:
     """All even trees with the given edge count, ordered by parenthesis encoding."""
     if edge_count < 0 or edge_count % 2 != 0:
         raise ValueError(f"edge count must be even and nonnegative, got {edge_count}")
-    # forests[e]: every child sequence whose subtrees use exactly e edges;
-    # nodes[e]: those of even length, the even-tree nodes with e edges below.
-    forests: list[tuple[Node, ...]] = [((),)]
-    nodes: list[tuple[Node, ...]] = [((),)]
-    for edges in range(1, edge_count + 1):
-        forests.append(
+    # bodies[h]: the paren text of the children of every even-tree vertex with
+    # 2h edges below it; unless empty, two subtrees and then the children of
+    # another such vertex.
+    bodies: list[tuple[str, ...]] = [("",)]
+    for half in range(1, edge_count // 2 + 1):
+        bodies.append(
             tuple(
-                (first,) + rest
-                for size in range(0, edges, 2)
-                for first in nodes[size]
-                for rest in forests[edges - 1 - size]
+                "(" + a + ")(" + b + ")" + rest
+                for ha in range(half)
+                for hb in range(half - ha)
+                for a in bodies[ha]
+                for b in bodies[hb]
+                for rest in bodies[half - 1 - ha - hb]
             )
         )
-        nodes.append(tuple(f for f in forests[edges] if len(f) % 2 == 0))
-    roots = sorted(nodes[edge_count], key=_node_paren)
-    return [EvenTree(root) for root in roots]
+    return [EvenTree._trusted(body, False) for body in sorted(bodies[edge_count // 2])]
 
 
 def r_index_poly(n: int) -> Poly:
@@ -121,23 +165,23 @@ def r_index_poly(n: int) -> Poly:
     return histogram_poly(map(r_index, enumerate_even_trees(2 * n)))
 
 
-def _node_paren(node: Node) -> str:
-    return "(" + "".join(_node_paren(c) for c in node) + ")"
-
-
 def paren(tree: EvenTree) -> str:
     """Balanced-parenthesis text, root children concatenated, "*" when dotted."""
-    body = "".join(_node_paren(c) for c in tree.root)
-    return ("*" + body) if tree.dotted else body
+    return ("*" + tree.body) if tree.dotted else tree.body
+
+
+def tree_from_paren(text: str) -> EvenTree:
+    """Read the text that `paren` prints, with the constructor's checks."""
+    dotted = text.startswith("*")
+    body = text[1:] if dotted else text
+    _check(body, dotted)
+    return EvenTree._trusted(body, dotted)
 
 
 def tree_shift(tree: EvenTree) -> EvenTree:
     """East step: solidify the dotted pair, or add a new dotted outer leaf pair."""
-    return EvenTree._trusted(_shift_root(tree.root, tree.dotted), not tree.dotted)
-
-
-def _shift_root(root: Node, dotted: bool) -> Node:
-    return root if dotted else ((),) + root + ((),)
+    body = tree.body if tree.dotted else "()" + tree.body + "()"
+    return EvenTree._trusted(body, not tree.dotted)
 
 
 def tree_lift(tree: EvenTree, i: int, j: int) -> EvenTree:
@@ -147,16 +191,17 @@ def tree_lift(tree: EvenTree, i: int, j: int) -> EvenTree:
         raise DomainError("lift unavailable at this position")
     if tree.dotted != (i % 2 == 1):
         raise DomainError("lift unavailable: dotted state does not match position")
-    expected_edges = i + 1 if i % 2 == 1 else i
-    if tree.edge_count() != expected_edges:
+    if tree.edge_count() != (i + 1 if i % 2 == 1 else i):
         raise DomainError("lift unavailable: edge count does not match position")
-    if len(tree.root) < 4 and (i % 2 == 1 or j != i // 2 - 1):
+    root = _nested(tree.body, _Vertex)
+    if len(root) < 4 and (i % 2 == 1 or j != i // 2 - 1):
         raise DomainError("lift unavailable: root degree below four")
-    return EvenTree._trusted(_lift_root(tree.root, i, j), tree.dotted)
+    _lift(root, i, j)
+    return EvenTree._trusted(_paren_body(root), tree.dotted)
 
 
-def _lift_root(root: Node, i: int, j: int) -> Node:
-    """The lift step on the bare root, at a position where it is available.
+def _lift(root: _Vertex, i: int, j: int) -> None:
+    """The lift step on the working form, at a position where it is available.
 
     Off the identity case the root has at least four children: it gains two
     per shift at even x and loses two per other lift, so at (i, j) with the
@@ -165,28 +210,36 @@ def _lift_root(root: Node, i: int, j: int) -> Node:
     if i % 2 == 1:
         # Move the two edges adjacent to the dotted pair, with their
         # subtrees, to the outside of the (dotted) last child.
-        new_last = (root[1],) + root[-1] + (root[-2],)
-        return (root[0],) + root[2:-2] + (new_last,)
-    if j == i // 2 - 1:
-        return root
-    # Move the outer pair, with subtrees, to the outside of the second child.
-    new_first = (root[0],) + root[1] + (root[-1],)
-    return (new_first,) + root[2:-1]
+        last = root.pop() or _Vertex()  # a leaf () gets a vertex to grow
+        last.append(root.pop())
+        first = root.popleft()
+        last.appendleft(root.popleft())
+        root.appendleft(first)
+        root.append(last)
+    elif j != i // 2 - 1:
+        # Move the outer pair, with subtrees, to the outside of the second child.
+        first = root.popleft()
+        second = root.popleft() or _Vertex()
+        second.appendleft(first)
+        second.append(root.pop())
+        root.appendleft(second)
 
 
 def path_to_tree(path: str) -> EvenTree:
     """Fold a path into a tree: shift per east step, lift per north step."""
     parse_path(path)
-    root: Node = ()
+    root = _Vertex()
     x = y = 0
     for ch in path:
         if ch == EAST:
-            root = _shift_root(root, x % 2 == 1)
+            if x % 2 == 0:
+                root.appendleft(())
+                root.append(())
             x += 1
         else:
-            root = _lift_root(root, x, y)
+            _lift(root, x, y)
             y += 1
-    return EvenTree._trusted(root, x % 2 == 1)
+    return EvenTree._trusted(_paren_body(root), x % 2 == 1)
 
 
 def tree_to_path(tree: EvenTree, endpoint: tuple[int, int] | None = None) -> str:
@@ -197,7 +250,9 @@ def tree_to_path(tree: EvenTree, endpoint: tuple[int, int] | None = None) -> str
     (i = 2j) the last step was the identity lift; at odd i a leaf last child
     means the dotted pair was just added (east), otherwise the odd lift is
     inverted (north); at even i a leaf first child means the pair was just
-    solidified (east), otherwise the even lift is inverted (north).
+    solidified (east), otherwise the even lift is inverted (north).  Each
+    unstep keeps the edge count at i + 1 (odd i) or i (even i), so the root
+    has children wherever one is read and is empty once the walk ends.
     """
     edges = tree.edge_count()
     if endpoint is None:
@@ -211,63 +266,39 @@ def tree_to_path(tree: EvenTree, endpoint: tuple[int, int] | None = None) -> str
         raise DomainError(f"dotted state does not match position ({i},{j})")
     if edges != (i + 1 if i % 2 == 1 else i):
         raise DomainError(f"edge count {edges} does not match position ({i},{j})")
+    root = _nested(tree.body, _Vertex)
     steps: list[str] = []
     while i > 0 or j > 0:
-        if i == 2 * j:
-            steps.append(NORTH)
-            j -= 1
-            continue
-        root = tree.root
-        if i % 2 == 1:
-            if root[-1] == ():
-                # Inverse shift: drop the dotted outer leaves.
-                tree = EvenTree._trusted(root[1:-1], False)
+        if i != 2 * j:
+            # The child the last lift would have grown: last at odd i, first at even i.
+            grown = root[-1] if i % 2 == 1 else root[0]
+            if not grown:
+                # Inverse shift: drop the dotted outer leaves (odd i), or make
+                # the outer pair dotted again (even i).
+                if i % 2 == 1:
+                    root.popleft()
+                    root.pop()
                 steps.append(EAST)
                 i -= 1
-            else:
-                # Inverse odd lift: pull the last child's outer subtrees back
-                # next to the dotted pair.
-                if j < 1 or len(root[-1]) < 2:
-                    raise DomainError(NOT_IN_IMAGE)
-                last = root[-1]
-                tree = EvenTree._trusted(
-                    (root[0], last[0]) + root[1:-1] + (last[-1], last[1:-1]), True
-                )
-                steps.append(NORTH)
-                j -= 1
-        else:
-            if not root:
+                continue
+            if j < 1 or len(grown) < 2:
                 raise DomainError(NOT_IN_IMAGE)
-            if root[0] == ():
-                # Inverse shift: the outer pair was dotted before this step.
-                if len(root) < 2:
-                    raise DomainError(NOT_IN_IMAGE)
-                tree = EvenTree._trusted(root, True)
-                steps.append(EAST)
-                i -= 1
+            if i % 2 == 1:
+                # Inverse odd lift: the outer subtrees go back next to the dotted pair.
+                root.insert(1, grown.popleft())
+                root.insert(-1, grown.pop())
             else:
-                # Inverse even lift: pull the first child's outer subtrees
-                # back to the root's outer positions.
-                if j < 1 or len(root[0]) < 2:
-                    raise DomainError(NOT_IN_IMAGE)
-                first = root[0]
-                tree = EvenTree._trusted(
-                    (first[0], first[1:-1]) + root[1:] + (first[-1],), False
-                )
-                steps.append(NORTH)
-                j -= 1
-    if tree.root or tree.dotted:
-        raise DomainError(NOT_IN_IMAGE)
+                # Inverse even lift: they go back to the root's outer positions.
+                root.appendleft(grown.popleft())
+                root.append(grown.pop())
+        steps.append(NORTH)
+        j -= 1
     return "".join(reversed(steps))
 
 
 def tree_to_json(tree: EvenTree) -> dict:
     """JSON object {"dotted": bool, "root": [...]}, nodes as child arrays."""
-    return {"dotted": tree.dotted, "root": _node_to_json(tree.root)}
-
-
-def _node_to_json(node: Node) -> list:
-    return [_node_to_json(c) for c in node]
+    return {"dotted": tree.dotted, "root": _nested(tree.body, list)}
 
 
 def tree_from_json(obj: object) -> EvenTree:

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import tricatalan
-from tricatalan import cli, lattice, matching
+from tricatalan import cli, eventree, lattice, matching
 from tricatalan.verify import run_verify
 
 
@@ -355,11 +355,71 @@ def test_map_rejects_boolean_endpoints(capsys):
         ("tree-to-path", '{"dotted":false,"root":[[],[],[[]],[]]}'),
         ("tree-to-path", '{"dotted":[],"root":[[],[]]}'),
         ("matching-to-tree", '{"m":2,"edges":[[true,2]]}'),
+        pytest.param(
+            "tree-to-path", '{"dotted":false,"root":%s}' % ("[" * 1200 + "]" * 1200),
+            id="tree-to-path-deep-json",
+        ),
+        pytest.param(
+            "matching-to-path", '{"m":2,"edges":%s}' % ("[" * 1200 + "]" * 1200),
+            id="matching-to-path-deep-json",
+        ),
+        pytest.param(
+            "matching-to-tree", '{"m":2,"edges":%s}' % ("[" * 1200 + "]" * 1200),
+            id="matching-to-tree-deep-json",
+        ),
+        ("tree-to-path", "(()"),
+        ("tree-to-path", "())("),
+        ("tree-to-path", "(())()"),
     ],
 )
 def test_map_refuses_hostile_objects_at_the_boundary(capsys, kind, value):
     code, out, err = run(capsys, ["map", kind, value])
     assert code == 2 and out == "" and err.startswith("error: ")
+
+
+def test_map_tree_kinds_print_paren_text_in_text_format(capsys):
+    code, out, _ = run(capsys, ["map", "path-to-tree", "EEEN", "--format", "text"])
+    assert code == 0 and out == "*()(()())\n"
+    code, out, _ = run(
+        capsys,
+        ["map", "matching-to-tree", '{"m":4,"edges":[[1,3],[2,4]]}', "--format", "text"],
+    )
+    assert code == 0 and out == "()(()())\n"
+    code, out, _ = run(capsys, ["map", "tree-to-path", "()(()())", "--format", "text"])
+    assert code == 0 and out == "EEENEN\n"
+
+
+def test_tree_json_text_matches_the_json_encoder():
+    for edges in range(0, 11, 2):
+        for tree in eventree.enumerate_even_trees(edges):
+            variants = [tree]
+            if eventree.paren(tree).startswith("()"):
+                variants.append(eventree.tree_from_paren("*" + eventree.paren(tree)))
+            for t in variants:
+                assert cli._tree_json(t) == cli._compact(eventree.tree_to_json(t))
+
+
+def test_deep_staircase_trees_through_the_cli(capsys):
+    assert sys.getrecursionlimit() <= 1000
+    path = "E" * 2000 + "N" * 1000  # folds into a tree of depth 1000
+    code, out, _ = run(capsys, ["map", "path-to-tree", path])
+    assert code == 0
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit + 2000)
+    try:  # the encoder recurses by depth; it is only the reference here
+        expected = json.dumps(eventree.tree_to_json(eventree.path_to_tree(path)),
+                              separators=(",", ":"))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert out == expected + "\n"
+    code, _, err = run(capsys, ["map", "tree-to-path", out.strip()])
+    assert code == 2 and "nested deeper than the decoder allows" in err
+
+    path = "E" * 200000 + "N" * 100000
+    code, text, _ = run(capsys, ["map", "path-to-tree", path, "--format", "text"])
+    assert code == 0 and len(text) == 400001
+    code, back, err = run(capsys, ["map", "tree-to-path", text.strip(), "--format", "text"])
+    assert code == 0 and back == path + "\n" and err == ""
 
 
 def test_map_matching_to_path_on_a_long_matching(capsys):

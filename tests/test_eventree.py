@@ -1,7 +1,12 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import tricatalan
 from tricatalan.errors import DomainError, ParseError
 from tricatalan.eventree import (
     EvenTree,
@@ -11,6 +16,7 @@ from tricatalan.eventree import (
     r_index,
     r_index_poly,
     tree_from_json,
+    tree_from_paren,
     tree_lift,
     tree_shift,
     tree_to_json,
@@ -163,7 +169,7 @@ def test_fold_invariants_along_the_way():
                 y += 1
             assert tree.dotted == (x % 2 == 1)
             if tree.dotted:
-                assert tree.root[0] == LEAF
+                assert tree.body.startswith("()")
             assert tree.edge_count() == (x + 1 if x % 2 == 1 else x)
 
 
@@ -222,6 +228,8 @@ def test_fold_and_unfold_states_equal_their_revalidated_copies(monkeypatch):
     # The fold and unfold steps skip the constructor's checks, so every tree
     # they build must be one the constructor would accept, and compare and
     # hash like it (verify compares these trees as sets).
+    # path_to_tree builds one tree per path; stepping each path through the
+    # public tree_shift/tree_lift as well records one tree per step.
     built = []
     trusted = EvenTree._trusted
 
@@ -235,10 +243,78 @@ def test_fold_and_unfold_states_equal_their_revalidated_copies(monkeypatch):
         for j in range(i // 2 + 1):
             for p in enumerate_paths(i, j):
                 assert tree_to_path(path_to_tree(p), (i, j)) == p
+                stepped, x, y = EvenTree(), 0, 0
+                for ch in p:
+                    if ch == "E":
+                        stepped, x = tree_shift(stepped), x + 1
+                    else:
+                        stepped, y = tree_lift(stepped, x, y), y + 1
+                assert path_to_tree(p) == stepped
     assert len(built) > 10 ** 4
     for state in built:
-        checked = EvenTree(state.root, state.dotted)
+        checked = EvenTree(tree_to_json(state)["root"], state.dotted)
         assert checked == state and hash(checked) == hash(state)
+
+
+def test_deep_and_long_paths_fold_and_unfold_at_the_default_recursion_limit():
+    assert sys.getrecursionlimit() <= 1000
+    k = 10 ** 5
+    staircase = "E" * (2 * k) + "N" * k  # folds into a tree of depth k
+    tree = path_to_tree(staircase)
+    assert tree_to_path(tree) == staircase
+    assert r_index(tree) == weight_exponent(staircase)
+    assert hash(tree) == hash(tree_from_paren(paren(tree)))
+    assert len(paren(tree)) == 4 * k
+    path = _random_path(random.Random(1), 10 ** 5)
+    assert tree_to_path(path_to_tree(path), path_endpoint(path)) == path
+
+
+def test_deep_working_forms_are_freed_on_a_small_thread_stack():
+    # CPython frees nested plain deques by C recursion, so a deep fold, or an
+    # unfold that fails halfway, would overflow a small stack and crash.
+    code = """if True:
+        import threading
+        from tricatalan.errors import DomainError
+        from tricatalan.eventree import path_to_tree, tree_to_path
+        threading.stack_size(256 * 1024)
+        def work():
+            deep = path_to_tree("E" * 60000 + "N" * 30000)
+            try:
+                tree_to_path(deep, (60000, 29998))
+            except DomainError:
+                print("refused")
+        worker = threading.Thread(target=work)
+        worker.start()
+        worker.join()
+    """
+    env = dict(os.environ, PYTHONPATH=str(Path(tricatalan.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0 and done.stdout == "refused\n", done.stderr
+
+
+def test_the_three_readers_agree_on_every_small_tree():
+    for edges in range(0, 11, 2):
+        for tree in enumerate_even_trees(edges):
+            nested = EvenTree(tree_to_json(tree)["root"])
+            for same in (nested, tree_from_paren(paren(tree)), tree_from_json(tree_to_json(tree))):
+                assert same == tree and hash(same) == hash(tree)
+
+
+def test_paren_reader_refuses_what_the_constructor_refuses():
+    assert tree_from_paren("*()(()())") == EvenTree((LEAF, (LEAF, LEAF)), dotted=True)
+    for text, message in (
+        ("(()", "unbalanced"),
+        ("())(", "unbalanced"),
+        ("()x", "unexpected"),
+        ("(())", "every degree must be even"),
+        ("()()()", "every degree must be even"),
+        ("*(()())()", "first a leaf"),
+        ("*", "first a leaf"),
+    ):
+        with pytest.raises(ParseError, match=message):
+            tree_from_paren(text)
 
 
 def test_even_tree_count_matches_catalan3():
