@@ -17,9 +17,9 @@ single bit on the tree because only the root's outer pair is ever dotted.
 A tree is stored flat: the paren text of the root's children and the dotted
 bit, so equality, hashing and every statistic are loops over one string at
 any depth.  The folds work on a form in which every vertex is a deque of its
-children (the fold keeps its leaves as ()); each step pushes and pops at or
-next to the ends of the root and of one child, in O(1), and a fold converts
-to or from the text once.
+children (both folds keep leaves as the shared () until a lift grows one);
+each step pushes and pops at or next to the ends of the root and of one
+child, in O(1), and a fold converts to or from the text once.
 """
 
 from __future__ import annotations
@@ -108,11 +108,15 @@ def _check(body: str, dotted: bool) -> None:
         raise ParseError("dotted tree needs at least two root children, the first a leaf")
 
 
-def _nested(body: str, vertex: type) -> list | _Vertex:
-    """The root's children as nested containers of type vertex (list or _Vertex)."""
+def _nested(body: str, vertex: type, leaf: type) -> list | _Vertex:
+    """The root's children as nested containers of type vertex, each leaf a
+    leaf(): lists for JSON, or the working form, _Vertex with tuple leaves
+    (the shared (), which a lift replaces by a vertex when it grows one)."""
     stack = [vertex()]
-    for ch in body:
-        if ch == "(":
+    for ch in body.replace("()", "."):  # "." marks a leaf
+        if ch == ".":
+            stack[-1].append(leaf())
+        elif ch == "(":
             child = vertex()
             stack[-1].append(child)
             stack.append(child)
@@ -193,7 +197,7 @@ def tree_lift(tree: EvenTree, i: int, j: int) -> EvenTree:
         raise DomainError("lift unavailable: dotted state does not match position")
     if tree.edge_count() != (i + 1 if i % 2 == 1 else i):
         raise DomainError("lift unavailable: edge count does not match position")
-    root = _nested(tree.body, _Vertex)
+    root = _nested(tree.body, _Vertex, tuple)
     if len(root) < 4 and (i % 2 == 1 or j != i // 2 - 1):
         raise DomainError("lift unavailable: root degree below four")
     _lift(root, i, j)
@@ -266,7 +270,7 @@ def tree_to_path(tree: EvenTree, endpoint: tuple[int, int] | None = None) -> str
         raise DomainError(f"dotted state does not match position ({i},{j})")
     if edges != (i + 1 if i % 2 == 1 else i):
         raise DomainError(f"edge count {edges} does not match position ({i},{j})")
-    root = _nested(tree.body, _Vertex)
+    root = _nested(tree.body, _Vertex, tuple)
     steps: list[str] = []
     while i > 0 or j > 0:
         if i != 2 * j:
@@ -298,7 +302,7 @@ def tree_to_path(tree: EvenTree, endpoint: tuple[int, int] | None = None) -> str
 
 def tree_to_json(tree: EvenTree) -> dict:
     """JSON object {"dotted": bool, "root": [...]}, nodes as child arrays."""
-    return {"dotted": tree.dotted, "root": _nested(tree.body, list)}
+    return {"dotted": tree.dotted, "root": _nested(tree.body, list, list)}
 
 
 def tree_from_json(obj: object) -> EvenTree:

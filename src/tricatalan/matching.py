@@ -30,10 +30,12 @@ criterion with one sweep over the arcs.  matching_to_path does not need it
 to decide membership: it refolds the matching with the same lift rule
 (_lift_positions) and calls contains_forbidden only to explain a rejection.
 
-enumerate_matchings is a deliberately naive brute force (choose the covered
-points, try every pairing, filter with the generic subsequence matcher
-contains_pattern) so that it can serve as an independent oracle for the
-bijection; it shares no code with shift/lift or with the arc sweep.
+enumerate_matchings is a deliberately naive brute force, so that it can
+serve as an independent oracle for the bijection: choose the covered points,
+pair them while skipping every edge that breaks the class condition, and
+test each admissible candidate with the generic matcher contains_pattern,
+which tries every increasing assignment of values to the pattern's letters.
+It shares no code with shift/lift, _lift_positions or the arc sweep.
 """
 
 from __future__ import annotations
@@ -190,37 +192,19 @@ def contains_pattern(seq: Sequence[int], pattern: Sequence[int]) -> bool:
     """True iff some subsequence of seq is order-isomorphic to pattern.
 
     Order isomorphism honors equalities: positions i, t of the subsequence
-    must compare (<, =, >) exactly as pattern[i] and pattern[t] do.
+    must compare (<, =, >) exactly as pattern[i] and pattern[t] do.  Such a
+    subsequence is an increasing assignment of distinct values of seq to the
+    distinct values of pattern, so try each assignment and test whether the
+    word it spells is a subsequence of seq.
     """
     seq = tuple(seq)
-    pattern = tuple(pattern)
-    n, k = len(seq), len(pattern)
-    if k == 0:
-        return True
-    if k > n:
-        return False
-    chosen: list[int] = []
-
-    def compatible(value: int, depth: int) -> bool:
-        for t, prev in enumerate(chosen):
-            if (prev < value) != (pattern[t] < pattern[depth]):
-                return False
-            if (prev == value) != (pattern[t] == pattern[depth]):
-                return False
-        return True
-
-    def extend(start: int, depth: int) -> bool:
-        if depth == k:
+    letters = sorted(set(pattern))
+    for values in combinations(sorted(set(seq)), len(letters)):
+        value_of = dict(zip(letters, values))
+        rest = iter(seq)
+        if all(value_of[p] in rest for p in pattern):
             return True
-        for pos in range(start, n - (k - depth) + 1):
-            if compatible(seq[pos], depth):
-                chosen.append(seq[pos])
-                if extend(pos + 1, depth + 1):
-                    return True
-                chosen.pop()
-        return False
-
-    return extend(0, 0)
+    return False
 
 
 def crossings(matching: PartialMatching) -> int:
@@ -247,16 +231,25 @@ def admissibility_violation(matching: PartialMatching) -> str | None:
 def _violation(edges: Sequence[tuple[int, int]], isolated: Sequence[int]) -> str | None:
     iso = sorted(isolated)
     for a, b in edges:
-        inside = bisect_left(iso, b) - bisect_right(iso, a)
-        if inside > 1:
-            return f"edge ({a},{b}) covers {inside} isolated points"
-        before = bisect_left(iso, a)
-        after = len(iso) - bisect_right(iso, b)
-        if before > after:
-            return (
-                f"edge ({a},{b}) has {before} isolated points before it"
-                f" and only {after} after"
-            )
+        violation = _edge_violation(a, b, iso)
+        if violation is not None:
+            return violation
+    return None
+
+
+def _edge_violation(a: int, b: int, iso: Sequence[int]) -> str | None:
+    """The class condition that edge (a, b) breaks against the sorted
+    isolated points iso, or None; admissible means no edge breaks one."""
+    inside = bisect_left(iso, b) - bisect_right(iso, a)
+    if inside > 1:
+        return f"edge ({a},{b}) covers {inside} isolated points"
+    before = bisect_left(iso, a)
+    after = len(iso) - bisect_right(iso, b)
+    if before > after:
+        return (
+            f"edge ({a},{b}) has {before} isolated points before it"
+            f" and only {after} after"
+        )
     return None
 
 
@@ -264,15 +257,21 @@ def is_admissible(matching: PartialMatching) -> bool:
     return admissibility_violation(matching) is None
 
 
-def _pairings(points: list[int]) -> Iterator[tuple[tuple[int, int], ...]]:
-    """All perfect pairings of the (sorted) points, each pair and list ascending."""
+def _pairings(
+    points: list[int], iso: Sequence[int]
+) -> Iterator[tuple[tuple[int, int], ...]]:
+    """The perfect pairings of the sorted points, each pair and list
+    ascending, that keep every edge admissible against the sorted isolated
+    points iso; a failing edge is skipped with all pairings containing it."""
     if not points:
         yield ()
         return
     first = points[0]
     for t in range(1, len(points)):
+        if _edge_violation(first, points[t], iso) is not None:
+            continue
         rest = points[1:t] + points[t + 1 :]
-        for tail in _pairings(rest):
+        for tail in _pairings(rest, iso):
             yield ((first, points[t]),) + tail
 
 
@@ -301,8 +300,10 @@ def _completed(m: int, edges: Sequence[tuple[int, int]]) -> tuple[int, ...]:
 def enumerate_matchings(points: int, edge_count: int) -> list[PartialMatching]:
     """Brute-force oracle: all admissible, pattern-avoiding matchings.
 
-    Generates every way to choose 2*edge_count covered points and pair them,
-    then filters; order is lexicographic on the sorted edge list.
+    Pairs every choice of 2*edge_count covered points, skipping each edge
+    that breaks the class condition (a condition on each edge alone), and
+    keeps a candidate when contains_pattern finds no 1,2,3,1,2 in its
+    completed sequence; order is lexicographic on the sorted edge list.
     """
     if points < 0 or edge_count < 0 or 2 * edge_count > points:
         raise ValueError(f"need 0 <= 2*{edge_count} <= {points}")
@@ -311,12 +312,9 @@ def enumerate_matchings(points: int, edge_count: int) -> list[PartialMatching]:
     for chosen in combinations(all_points, 2 * edge_count):
         covered = set(chosen)
         isolated = [p for p in all_points if p not in covered]
-        for edges in _pairings(list(chosen)):
-            if _violation(edges, isolated) is not None:
-                continue
-            if contains_pattern(_completed(points, edges), FORBIDDEN_PATTERN):
-                continue
-            kept.append(edges)
+        for edges in _pairings(list(chosen), isolated):
+            if not contains_pattern(_completed(points, edges), FORBIDDEN_PATTERN):
+                kept.append(edges)
     kept.sort()
     return [PartialMatching(points, edges) for edges in kept]
 

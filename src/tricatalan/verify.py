@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import asdict, dataclass, field
+from functools import cache
 from typing import Callable, Iterator, Sequence
 
 from . import eventree, lattice, matching
@@ -116,8 +117,8 @@ def _check_collapse(max_n: int) -> Witnesses:
             yield f"n={n}: L(2n,n)={on_line} != L(2n,n-1)={below}"
 
 
-def _check_matching_counts(table: dict) -> Witnesses:
-    for (i, j), members in table.items():
+def _check_matching_counts(table: Callable[[], dict]) -> Witnesses:
+    for (i, j), members in table().items():
         got = histogram_poly(map(matching.crossings, members))
         want = lattice.lattice_poly(i, j)
         if got != want:
@@ -151,8 +152,8 @@ def _bijection(
             yield f"{show(member)}: roundtrip failed"
 
 
-def _check_matching_bijection(table: dict) -> Witnesses:
-    for (i, j), members in table.items():
+def _check_matching_bijection(table: Callable[[], dict]) -> Witnesses:
+    for (i, j), members in table().items():
         yield from _bijection(
             f"(i,j)=({i},{j})",
             lattice.enumerate_paths(i, j),
@@ -244,10 +245,16 @@ def run_verify(max_n: int, seed: int = 0) -> VerifyReport:
     matching_i = min(2 * max_n, MATCHING_MAX_I)
     count_n = min(max_n, TREE_COUNT_MAX_N)
     bijection_n = min(max_n, TREE_BIJECTION_MAX_N)
-    table = {
-        (i, j): matching.enumerate_matchings(i, j)
-        for i, j in _valid_positions(matching_i)
-    }
+
+    @cache
+    def table() -> dict:
+        # Built on first use inside a matching check, so an exception here
+        # is that check's witness; both checks share one successful build.
+        return {
+            (i, j): matching.enumerate_matchings(i, j)
+            for i, j in _valid_positions(matching_i)
+        }
+
     closed = f"n = 1..{max_n}"
     matchings = f"i <= {matching_i}"
     checks = [

@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -267,6 +268,23 @@ def test_deep_and_long_paths_fold_and_unfold_at_the_default_recursion_limit():
     assert len(paren(tree)) == 4 * k
     path = _random_path(random.Random(1), 10 ** 5)
     assert tree_to_path(path_to_tree(path), path_endpoint(path)) == path
+
+
+def test_unfold_peaks_no_higher_than_the_fold():
+    # The unfold's working form keeps leaves as the shared (), as the fold
+    # does, rather than giving every leaf a deque of its own.
+    path = _random_path(random.Random(1), 10 ** 5)
+    tree = path_to_tree(path)
+    peaks = []
+    for run in (lambda: path_to_tree(path), lambda: tree_to_path(tree, path_endpoint(path))):
+        tracemalloc.start()
+        try:
+            run()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    fold, unfold = peaks
+    assert unfold <= fold
 
 
 def test_deep_working_forms_are_freed_on_a_small_thread_stack():

@@ -95,6 +95,7 @@ def test_contains_pattern_examples():
     assert not contains_pattern((), (1,))
     assert contains_pattern((4, 4), (2, 2))
     assert not contains_pattern((4, 5), (2, 2))
+    assert contains_pattern(iter((1, 2, 3, 1, 2)), FORBIDDEN_PATTERN)
 
 
 def _naive_contains(seq, pattern):
@@ -160,15 +161,78 @@ def _all_matchings(m):
     return [PartialMatching(m, edges) for edges in pairings(list(range(1, m + 1)))]
 
 
+def _backtracking_contains_pattern(seq, pattern):
+    """Order-isomorphic containment by backtracking over positions: a
+    test-only oracle for contains_pattern, which assigns values instead."""
+    seq = tuple(seq)
+    pattern = tuple(pattern)
+    n, k = len(seq), len(pattern)
+    if k == 0:
+        return True
+    if k > n:
+        return False
+    chosen: list[int] = []
+
+    def compatible(value: int, depth: int) -> bool:
+        for t, prev in enumerate(chosen):
+            if (prev < value) != (pattern[t] < pattern[depth]):
+                return False
+            if (prev == value) != (pattern[t] == pattern[depth]):
+                return False
+        return True
+
+    def extend(start: int, depth: int) -> bool:
+        if depth == k:
+            return True
+        for pos in range(start, n - (k - depth) + 1):
+            if compatible(seq[pos], depth):
+                chosen.append(seq[pos])
+                if extend(pos + 1, depth + 1):
+                    return True
+                chosen.pop()
+        return False
+
+    return extend(0, 0)
+
+
 def _backtracker_contains(m):
-    return contains_pattern(completed_sequence(m), FORBIDDEN_PATTERN)
+    return _backtracking_contains_pattern(completed_sequence(m), FORBIDDEN_PATTERN)
 
 
 def test_arc_detector_agrees_with_backtracker_exhaustively():
+    # The value-assignment matcher must agree with the backtracker as well.
     objects = [pm for m in range(11) for pm in _all_matchings(m)]
     assert len(objects) == 13232
-    disagree = [pm for pm in objects if contains_forbidden(pm) != _backtracker_contains(pm)]
+    disagree = []
+    for pm in objects:
+        want = _backtracker_contains(pm)
+        got = contains_pattern(completed_sequence(pm), FORBIDDEN_PATTERN)
+        if contains_forbidden(pm) != want or got != want:
+            disagree.append(pm)
     assert disagree == []
+
+
+def _unpruned_pairings(points):
+    """Every perfect pairing of the sorted points, in _pairings' order."""
+    if not points:
+        yield ()
+        return
+    for t in range(1, len(points)):
+        for tail in _unpruned_pairings(points[1:t] + points[t + 1 :]):
+            yield ((points[0], points[t]),) + tail
+
+
+def test_pruned_pairings_are_the_admissible_pairings_in_order():
+    for m in range(11):
+        for size in range(0, m + 1, 2):
+            for chosen in combinations(range(1, m + 1), size):
+                iso = [p for p in range(1, m + 1) if p not in chosen]
+                want = [
+                    edges
+                    for edges in _unpruned_pairings(list(chosen))
+                    if matching.admissibility_violation(PartialMatching(m, edges)) is None
+                ]
+                assert list(matching._pairings(list(chosen), iso)) == want
 
 
 @given(
@@ -184,9 +248,16 @@ def test_oracle_does_not_use_the_arc_detector(monkeypatch):
     want = enumerate_matchings(8, 3)
 
     def refuse(*args):
-        raise AssertionError("the oracle must not call the arc detector")
+        raise AssertionError("the oracle must not call the arc detector or the fold")
 
-    monkeypatch.setattr(matching, "_crossing_pair_with_opener_inside", refuse)
+    for name in (
+        "_crossing_pair_with_opener_inside",
+        "_lift_positions",
+        "shift",
+        "lift",
+        "path_to_matching",
+    ):
+        monkeypatch.setattr(matching, name, refuse)
     assert enumerate_matchings(8, 3) == want
 
 
@@ -297,7 +368,7 @@ def test_refold_accepts_exactly_the_admissible_avoiding_matchings():
     for m in range(11):
         for pm in _all_matchings(m):
             violation = matching.admissibility_violation(pm)
-            forbidden = _backtracker_contains(pm)
+            forbidden = contains_pattern(completed_sequence(pm), FORBIDDEN_PATTERN)
             if violation is None and not forbidden:
                 assert path_to_matching(matching_to_path(pm)) == pm
                 continue

@@ -102,6 +102,28 @@ def test_exception_in_checked_code_is_the_witness(capsys, monkeypatch):
     assert lines[-1] == "overall: FAIL"
 
 
+def test_exception_while_enumerating_matchings_fails_both_matching_checks(
+    capsys, monkeypatch
+):
+    real = matching.enumerate_matchings
+
+    def crashing(points, edge_count):
+        if (points, edge_count) == (4, 2):
+            raise DomainError("injected")
+        return real(points, edge_count)
+
+    monkeypatch.setattr(matching, "enumerate_matchings", crashing)
+    assert cli.main(["verify", "--max-n", "2"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[1] for line in lines[:-1]] == list(FAULTS)
+    failed = [line for line in lines[:-1] if line.startswith("FAIL")]
+    assert failed == [
+        f"FAIL {name} [i <= 4]: raised DomainError: injected"
+        for name in ("matching-class-counts", "matching-bijection")
+    ]
+    assert lines[-1] == "overall: FAIL"
+
+
 def test_verify_help_states_the_caps(capsys, monkeypatch):
     monkeypatch.setattr(verify, "MATCHING_MAX_I", 13)
     monkeypatch.setattr(verify, "TREE_BIJECTION_MAX_N", 6)
