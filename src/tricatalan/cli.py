@@ -46,13 +46,25 @@ def _tree_json(tree: eventree.EvenTree) -> str:
 
 
 def _decode(value: str) -> object:
-    """json.loads; JSON nested deeper than the decoder allows is a ParseError."""
+    """json.loads; JSON nested deeper than the decoder allows, or with an
+    integer literal longer than the interpreter converts, is a ParseError."""
     try:
         return json.loads(value)
     except RecursionError as exc:
         raise ParseError(
             "JSON nested deeper than the decoder allows (about"
             f" {sys.getrecursionlimit()} levels, the recursion limit)"
+        ) from exc
+    except json.JSONDecodeError:
+        raise
+    except ValueError as exc:
+        # Only the integer digit limit raises a plain ValueError here.
+        # sys.get_int_max_str_digits is missing from early 3.10 releases.
+        limit = getattr(sys, "get_int_max_str_digits", None)
+        shown = f"{limit()} digits" if limit else "a limit"
+        raise ParseError(
+            f"JSON integer literal longer than the interpreter converts ({shown},"
+            " sys.get_int_max_str_digits())"
         ) from exc
 
 

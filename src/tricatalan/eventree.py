@@ -25,9 +25,9 @@ child, in O(1), and a fold converts to or from the text once.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
 from .errors import NOT_IN_IMAGE, DomainError, ParseError
+from .frozen import Frozen
 from .lattice import EAST, NORTH, parse_path
 from .poly import Poly, histogram_poly
 
@@ -40,8 +40,7 @@ class _Vertex(deque):
     __slots__ = ()
 
 
-@dataclass(frozen=True, init=False)
-class EvenTree:
+class EvenTree(Frozen):
     """body is the paren text of the root's children (paren without the "*");
     dotted marks the outer pair."""
 
@@ -65,6 +64,17 @@ class EvenTree:
         object.__setattr__(tree, "body", body)
         object.__setattr__(tree, "dotted", dotted)
         return tree
+
+    def __repr__(self) -> str:
+        return f"EvenTree(body={self.body!r}, dotted={self.dotted!r})"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.body, self.dotted) == (other.body, other.dotted)
+
+    def __hash__(self) -> int:
+        return hash((self.body, self.dotted))
 
     def edge_count(self) -> int:
         return len(self.body) // 2

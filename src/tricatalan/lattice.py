@@ -16,9 +16,9 @@ lattice_poly, lattice_columns and lattice_table all read from it.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from math import comb
 from operator import add
-from typing import Iterator
 
 from .errors import ParseError
 from .poly import Poly

@@ -34,18 +34,19 @@ enumerate_matchings is a deliberately naive brute force, so that it can
 serve as an independent oracle for the bijection: choose the covered points,
 pair them while skipping every edge that breaks the class condition, and
 test each admissible candidate with the generic matcher contains_pattern,
-which tries every increasing assignment of values to the pattern's letters.
-It shares no code with shift/lift, _lift_positions or the arc sweep.
+which assigns increasing values to the pattern's letters one at a time and
+drops a partial assignment as soon as it cannot spell a subsequence.  It
+shares no code with shift/lift, _lift_positions or the arc sweep.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
-from dataclasses import dataclass
+from collections.abc import Iterator, Sequence
 from itertools import combinations
-from typing import Iterator, Sequence
 
 from .errors import NOT_IN_IMAGE, DomainError, ParseError
+from .frozen import Frozen
 from .lattice import EAST, NORTH, parse_path
 from .poly import Poly, histogram_poly
 
@@ -57,38 +58,38 @@ def _integer_error(what: str, value: object) -> ParseError:
     return ParseError(f"{what} must be an integer, got {kind}{value!r}")
 
 
-@dataclass(frozen=True)
-class PartialMatching:
+class PartialMatching(Frozen):
     """Points 1..m with disjoint edges (a, b), a < b; edges kept sorted by a."""
 
     m: int
-    edges: tuple[tuple[int, int], ...] = ()
+    edges: tuple[tuple[int, int], ...]
 
-    def __post_init__(self) -> None:
+    def __init__(self, m: int, edges: Sequence[tuple[int, int]] = ()) -> None:
         # type(...) is int, not isinstance: bool is an int subclass.
-        if type(self.m) is not int:
-            raise _integer_error("point count", self.m)
-        if self.m < 0:
+        if type(m) is not int:
+            raise _integer_error("point count", m)
+        if m < 0:
             raise ParseError("point count must be nonnegative")
-        if not isinstance(self.edges, (tuple, list)):
-            raise ParseError(f"edges {self.edges!r} are not a sequence of pairs")
+        if not isinstance(edges, (tuple, list)):
+            raise ParseError(f"edges {edges!r} are not a sequence of pairs")
         pairs = []
         seen: set[int] = set()
-        for e in self.edges:
+        for e in edges:
             if not isinstance(e, (tuple, list)) or len(e) != 2:
                 raise ParseError(f"edge {e!r} is not a pair")
             a, b = e
             if type(a) is not int or type(b) is not int:
                 bad = b if type(a) is int else a
                 raise _integer_error(f"edge {e!r}: each endpoint", bad)
-            if not (1 <= a < b <= self.m):
-                raise ParseError(f"edge ({a},{b}) is not inside 1..{self.m}")
+            if not (1 <= a < b <= m):
+                raise ParseError(f"edge ({a},{b}) is not inside 1..{m}")
             if a in seen or b in seen:
                 raise ParseError(f"edge ({a},{b}) reuses an endpoint")
             seen.add(a)
             seen.add(b)
             pairs.append((a, b))
         pairs.sort()
+        object.__setattr__(self, "m", m)
         object.__setattr__(self, "edges", tuple(pairs))
 
     @classmethod
@@ -99,6 +100,17 @@ class PartialMatching:
         object.__setattr__(matching, "m", m)
         object.__setattr__(matching, "edges", edges)
         return matching
+
+    def __repr__(self) -> str:
+        return f"PartialMatching(m={self.m!r}, edges={self.edges!r})"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.m, self.edges) == (other.m, other.edges)
+
+    def __hash__(self) -> int:
+        return hash((self.m, self.edges))
 
     def covered(self) -> set[int]:
         return {p for e in self.edges for p in e}
@@ -194,17 +206,40 @@ def contains_pattern(seq: Sequence[int], pattern: Sequence[int]) -> bool:
     Order isomorphism honors equalities: positions i, t of the subsequence
     must compare (<, =, >) exactly as pattern[i] and pattern[t] do.  Such a
     subsequence is an increasing assignment of distinct values of seq to the
-    distinct values of pattern, so try each assignment and test whether the
-    word it spells is a subsequence of seq.
+    distinct values of pattern (the letters) under which the word pattern
+    spells is a subsequence of seq.  The letters are assigned in increasing
+    order, one at a time, each a larger value than the last; a partial
+    assignment is abandoned as soon as the pattern cut down to the letters
+    assigned so far does not spell a subsequence of seq, which every full
+    match would, so pruning rejects no match.
     """
-    seq = tuple(seq)
+    seq, pattern = tuple(seq), tuple(pattern)
     letters = sorted(set(pattern))
-    for values in combinations(sorted(set(seq)), len(letters)):
-        value_of = dict(zip(letters, values))
+    values = sorted(set(seq))
+    # restricted[k]: pattern with only its k + 1 smallest letters left in
+    restricted = [[p for p in pattern if p <= letter] for letter in letters]
+    value_of: dict[int, int] = {}
+    need = len(letters)
+    spare = len(values) - need  # letters[k] takes at most values[k + spare]
+    tries = [0]  # tries[k]: index in values of the next value to give letters[k]
+    k = 0
+    while k < need:
+        t = tries[k]
+        if t > k + spare:  # no value left for letters[k]: back up one letter
+            if k == 0:
+                return False
+            tries.pop()
+            k -= 1
+            tries[k] += 1
+            continue
+        value_of[letters[k]] = values[t]
         rest = iter(seq)
-        if all(value_of[p] in rest for p in pattern):
-            return True
-    return False
+        if all(value_of[p] in rest for p in restricted[k]):
+            tries.append(t + 1)
+            k += 1
+        else:
+            tries[k] = t + 1
+    return True
 
 
 def crossings(matching: PartialMatching) -> int:
@@ -304,6 +339,8 @@ def enumerate_matchings(points: int, edge_count: int) -> list[PartialMatching]:
     that breaks the class condition (a condition on each edge alone), and
     keeps a candidate when contains_pattern finds no 1,2,3,1,2 in its
     completed sequence; order is lexicographic on the sorted edge list.
+    Every pairing built here is sorted, disjoint and inside 1..points, so
+    the results are wrapped without the constructor's checks.
     """
     if points < 0 or edge_count < 0 or 2 * edge_count > points:
         raise ValueError(f"need 0 <= 2*{edge_count} <= {points}")
@@ -316,7 +353,7 @@ def enumerate_matchings(points: int, edge_count: int) -> list[PartialMatching]:
             if not contains_pattern(_completed(points, edges), FORBIDDEN_PATTERN):
                 kept.append(edges)
     kept.sort()
-    return [PartialMatching(points, edges) for edges in kept]
+    return [PartialMatching._trusted(points, edges) for edges in kept]
 
 
 def crossing_poly(points: int, edge_count: int) -> Poly:

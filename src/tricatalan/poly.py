@@ -11,8 +11,9 @@ on polynomials that passed it builds its results without checking again.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from collections.abc import Iterable
+
+from .frozen import Frozen
 
 
 def _trim(coeffs: tuple[int, ...]) -> tuple[int, ...]:
@@ -22,14 +23,13 @@ def _trim(coeffs: tuple[int, ...]) -> tuple[int, ...]:
     return coeffs[:end]
 
 
-@dataclass(frozen=True)
-class Poly:
+class Poly(Frozen):
     """Polynomial c0 + c1*x + c2*x^2 + ... with coeffs[k] the coefficient of x^k."""
 
-    coeffs: tuple[int, ...] = ()
+    coeffs: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        coeffs = tuple(self.coeffs)
+    def __init__(self, coeffs: Iterable[int] = ()) -> None:
+        coeffs = tuple(coeffs)
         for c in coeffs:
             if not isinstance(c, int):
                 raise TypeError(f"coefficients must be int, got {type(c).__name__}")
@@ -41,6 +41,17 @@ class Poly:
         poly = object.__new__(cls)
         object.__setattr__(poly, "coeffs", coeffs)
         return poly
+
+    def __repr__(self) -> str:
+        return f"Poly(coeffs={self.coeffs!r})"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __hash__(self) -> int:
+        return hash((self.coeffs,))
 
     @classmethod
     def zero(cls) -> Poly:

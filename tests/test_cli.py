@@ -349,6 +349,30 @@ def test_map_rejects_boolean_endpoints(capsys):
         assert code == 2 and out == "" and "boolean" in err
 
 
+def _digits_past_the_limit():
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    return "1" * (limit + 1) if limit else None
+
+
+@pytest.mark.skipif(
+    _digits_past_the_limit() is None, reason="no integer digit limit is in force"
+)
+@pytest.mark.parametrize(
+    "kind, template",
+    [
+        ("matching-to-path", '{"m":%s,"edges":[]}'),
+        ("matching-to-tree", '{"m":%s,"edges":[]}'),
+        ("path-to-tree", "%s"),
+        ("tree-to-path", '{"dotted":false,"root":[[],[%s]]}'),
+    ],
+)
+def test_map_refuses_integer_literals_past_the_digit_limit(capsys, kind, template):
+    code, out, err = run(capsys, ["map", kind, template % _digits_past_the_limit()])
+    assert code == 2 and out == ""
+    assert f"({sys.get_int_max_str_digits()} digits," in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "kind, value",
     [

@@ -96,6 +96,17 @@ def test_contains_pattern_examples():
     assert contains_pattern((4, 4), (2, 2))
     assert not contains_pattern((4, 5), (2, 2))
     assert contains_pattern(iter((1, 2, 3, 1, 2)), FORBIDDEN_PATTERN)
+    assert not contains_pattern((1, 2), iter((2, 1)))
+    # The empty pattern is in every word, the empty word holds no other.
+    assert contains_pattern((), ())
+    assert contains_pattern((3, 1), ())
+    assert not contains_pattern((), FORBIDDEN_PATTERN)
+    # Letters need not be 1..k, and words may repeat values.
+    assert contains_pattern((7, 3, 8, 3), (5, 2, 9, 2))
+    assert not contains_pattern((7, 3, 8, 4), (5, 2, 9, 2))
+    assert not contains_pattern((3, 7, 8, 3), (5, 2, 9, 2))
+    assert contains_pattern((2, 2, 6, 2, 6, 6), (1, 1, 4))
+    assert not contains_pattern((6, 6, 2, 2), (1, 1, 4))
 
 
 def _naive_contains(seq, pattern):
@@ -193,6 +204,15 @@ def _backtracking_contains_pattern(seq, pattern):
         return False
 
     return extend(0, 0)
+
+
+@given(
+    st.lists(st.integers(min_value=0, max_value=9), max_size=14),
+    st.lists(st.integers(min_value=0, max_value=9), max_size=6),
+)
+def test_pattern_engine_agrees_with_backtracker(seq, pattern):
+    # Any letters, repeated values, and empty words on either side.
+    assert contains_pattern(seq, pattern) == _backtracking_contains_pattern(seq, pattern)
 
 
 def _backtracker_contains(m):

@@ -132,3 +132,30 @@ def test_verify_help_states_the_caps(capsys, monkeypatch):
     text = " ".join(capsys.readouterr().out.split())
     assert "paths i <= 14" in text and "matchings i <= 13" in text
     assert "tree counts n <= 8" in text and "tree bijection n <= 6" in text
+
+
+def test_verify_folds_and_unfolds_each_object_once(monkeypatch):
+    counts = {}
+
+    def counting(module, name):
+        real = getattr(module, name)
+
+        def counted(*args):
+            counts[name] = counts.get(name, 0) + 1
+            return real(*args)
+
+        monkeypatch.setattr(module, name, counted)
+
+    counting(matching, "path_to_matching")
+    counting(matching, "matching_to_path")
+    counting(eventree, "path_to_tree")
+    counting(eventree, "tree_to_path")
+    assert verify.run_verify(5).overall
+    # 1,255 paths with i <= 10 (the matching table's members) plus the
+    # shift-lift check's 200 samples; 344 trees at (2n, n) for n <= 5.
+    assert counts == {
+        "path_to_matching": 1255 + verify.RANDOM_TRIALS,
+        "matching_to_path": 1255,
+        "path_to_tree": 1255,
+        "tree_to_path": 344,
+    }
