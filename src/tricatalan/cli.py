@@ -145,8 +145,6 @@ def _print_grid(max_i: int) -> None:
 
 
 def cmd_map(args: argparse.Namespace) -> int:
-    if args.format == "csv":
-        raise ParseError("map supports text and json output only")
     value = _read_value(args.value)
     kind = args.kind
     if kind == "path-to-matching":
@@ -270,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_map = sub.add_parser("map", help="apply a bijection to one object")
     p_map.add_argument("kind", choices=MAP_KINDS)
     p_map.add_argument("value", help="encoded object, or - to read stdin")
-    p_map.add_argument("--format", choices=("text", "json", "csv"), default="json")
+    p_map.add_argument("--format", choices=("text", "json"), default="json")
     p_map.set_defaults(func=cmd_map)
 
     p_enum = sub.add_parser("enum", help="stream a family, one object per line")

@@ -41,8 +41,9 @@ class _Vertex(deque):
 
 
 class EvenTree(Frozen):
-    """body is the paren text of the root's children (paren without the "*");
-    dotted marks the outer pair."""
+    """body is the paren text of the root's children (paren without the "*"),
+    balanced and with every vertex of even degree; dotted, a bool, marks the
+    outer pair, and a dotted body starts with a leaf."""
 
     body: str
     dotted: bool
@@ -55,26 +56,6 @@ class EvenTree(Frozen):
         _check(body, dotted)
         object.__setattr__(self, "body", body)
         object.__setattr__(self, "dotted", dotted)
-
-    @classmethod
-    def _trusted(cls, body: str, dotted: bool) -> EvenTree:
-        """Wrap paren text that already satisfies every invariant (balanced,
-        even degrees, leaf first child when dotted), skipping the checks."""
-        tree = object.__new__(cls)
-        object.__setattr__(tree, "body", body)
-        object.__setattr__(tree, "dotted", dotted)
-        return tree
-
-    def __repr__(self) -> str:
-        return f"EvenTree(body={self.body!r}, dotted={self.dotted!r})"
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.body, self.dotted) == (other.body, other.dotted)
-
-    def __hash__(self) -> int:
-        return hash((self.body, self.dotted))
 
     def edge_count(self) -> int:
         return len(self.body) // 2

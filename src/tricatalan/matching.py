@@ -59,7 +59,8 @@ def _integer_error(what: str, value: object) -> ParseError:
 
 
 class PartialMatching(Frozen):
-    """Points 1..m with disjoint edges (a, b), a < b; edges kept sorted by a."""
+    """Points 1..m with edges, a sorted tuple of disjoint int pairs (a, b)
+    with 1 <= a < b <= m."""
 
     m: int
     edges: tuple[tuple[int, int], ...]
@@ -91,26 +92,6 @@ class PartialMatching(Frozen):
         pairs.sort()
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "edges", tuple(pairs))
-
-    @classmethod
-    def _trusted(cls, m: int, edges: tuple[tuple[int, int], ...]) -> PartialMatching:
-        """Wrap fields that already satisfy every invariant (sorted, disjoint
-        int pairs inside 1..m), skipping the checks."""
-        matching = object.__new__(cls)
-        object.__setattr__(matching, "m", m)
-        object.__setattr__(matching, "edges", edges)
-        return matching
-
-    def __repr__(self) -> str:
-        return f"PartialMatching(m={self.m!r}, edges={self.edges!r})"
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.m, self.edges) == (other.m, other.edges)
-
-    def __hash__(self) -> int:
-        return hash((self.m, self.edges))
 
     def covered(self) -> set[int]:
         return {p for e in self.edges for p in e}
@@ -244,15 +225,12 @@ def contains_pattern(seq: Sequence[int], pattern: Sequence[int]) -> bool:
 
 def crossings(matching: PartialMatching) -> int:
     """Edge pairs a < c < b < d, plus (edge, isolated point inside it) pairs."""
-    return _crossings(matching.edges, matching.isolated())
-
-
-def _crossings(edges: Sequence[tuple[int, int]], isolated: Sequence[int]) -> int:
+    edges = matching.edges
     count = 0
     for (a, b), (c, d) in combinations(edges, 2):
         if a < c < b < d or c < a < d < b:
             count += 1
-    iso = sorted(isolated)
+    iso = matching.isolated()
     for a, b in edges:
         count += bisect_left(iso, b) - bisect_right(iso, a)
     return count
@@ -260,12 +238,8 @@ def _crossings(edges: Sequence[tuple[int, int]], isolated: Sequence[int]) -> int
 
 def admissibility_violation(matching: PartialMatching) -> str | None:
     """Name the first violated class condition, or None if admissible."""
-    return _violation(matching.edges, matching.isolated())
-
-
-def _violation(edges: Sequence[tuple[int, int]], isolated: Sequence[int]) -> str | None:
-    iso = sorted(isolated)
-    for a, b in edges:
+    iso = matching.isolated()
+    for a, b in matching.edges:
         violation = _edge_violation(a, b, iso)
         if violation is not None:
             return violation

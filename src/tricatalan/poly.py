@@ -24,7 +24,8 @@ def _trim(coeffs: tuple[int, ...]) -> tuple[int, ...]:
 
 
 class Poly(Frozen):
-    """Polynomial c0 + c1*x + c2*x^2 + ... with coeffs[k] the coefficient of x^k."""
+    """Polynomial c0 + c1*x + c2*x^2 + ... with coeffs[k] the coefficient of x^k;
+    coeffs is a tuple of ints without trailing zeros."""
 
     coeffs: tuple[int, ...]
 
@@ -34,24 +35,6 @@ class Poly(Frozen):
             if not isinstance(c, int):
                 raise TypeError(f"coefficients must be int, got {type(c).__name__}")
         object.__setattr__(self, "coeffs", _trim(coeffs))
-
-    @classmethod
-    def _trusted(cls, coeffs: tuple[int, ...]) -> Poly:
-        """Wrap a tuple of ints without trailing zeros, skipping the checks."""
-        poly = object.__new__(cls)
-        object.__setattr__(poly, "coeffs", coeffs)
-        return poly
-
-    def __repr__(self) -> str:
-        return f"Poly(coeffs={self.coeffs!r})"
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash((self.coeffs,))
 
     @classmethod
     def zero(cls) -> Poly:

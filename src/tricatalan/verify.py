@@ -20,6 +20,7 @@ from collections.abc import Callable, Iterator, Sequence
 from functools import cache
 
 from . import eventree, lattice, matching
+from .frozen import Record
 from .poly import Poly, histogram_poly
 
 PATH_ORACLE_MAX_I = 14
@@ -31,10 +32,9 @@ RANDOM_TRIALS = 200
 Witnesses = Iterator[str]
 
 
-class CheckResult:
-    """One check: its name, the range it ran, and its first witness, if any."""
-
-    __hash__ = None  # mutable, so compared by value but not hashable
+class CheckResult(Record):
+    """One check: its name, the range it ran, and its first witness, if any.
+    Mutable, so compared by value but not hashable."""
 
     def __init__(self, name: str, scope: str, passed: bool, detail: str = "") -> None:
         self.name = name
@@ -42,46 +42,21 @@ class CheckResult:
         self.passed = passed
         self.detail = detail
 
-    def _fields(self) -> dict:
-        return {
-            "name": self.name,
-            "scope": self.scope,
-            "passed": self.passed,
-            "detail": self.detail,
-        }
 
-    def __repr__(self) -> str:
-        shown = ", ".join(f"{k}={v!r}" for k, v in self._fields().items())
-        return f"CheckResult({shown})"
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-
-class VerifyReport:
-    """Every check's result, in the order run; overall passes when all do."""
-
-    __hash__ = None  # mutable, like CheckResult
+class VerifyReport(Record):
+    """Every check's result, in the order run; overall passes when all do.
+    Mutable, like CheckResult."""
 
     def __init__(self, checks: list[CheckResult] | None = None) -> None:
         self.checks = [] if checks is None else checks
-
-    def __repr__(self) -> str:
-        return f"VerifyReport(checks={self.checks!r})"
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.checks == other.checks
 
     @property
     def overall(self) -> bool:
         return all(c.passed for c in self.checks)
 
     def to_json(self) -> dict:
-        return {"overall": self.overall, "checks": [c._fields() for c in self.checks]}
+        """{"overall": ..., "checks": [...]}, each check's fields in __init__ order."""
+        return {"overall": self.overall, "checks": [dict(vars(c)) for c in self.checks]}
 
 
 def _valid_positions(max_i: int):

@@ -152,8 +152,9 @@ def test_map_parse_errors_exit_2(capsys):
     assert code == 2
     code, _, err = run(capsys, ["map", "matching-to-path", '{"m":2,"edges":[[2,2]]}'])
     assert code == 2
-    code, _, err = run(capsys, ["map", "path-to-matching", "EEN", "--format", "csv"])
-    assert code == 2
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["map", "path-to-matching", "EEN", "--format", "csv"])
+    assert exit_info.value.code == 2 and "invalid choice" in capsys.readouterr().err
 
 
 def test_map_domain_rejections_exit_3(capsys):

@@ -9,6 +9,7 @@ import pytest
 
 import tricatalan
 from tricatalan import EvenTree, PartialMatching, Poly, tree_from_paren
+from tricatalan.verify import CheckResult, VerifyReport, run_verify
 
 
 def test_import_loads_neither_dataclasses_nor_inspect():
@@ -66,3 +67,35 @@ def test_value_class_parity(value, text, validated, other):
     with pytest.raises(AttributeError):
         value.extra = 1
     assert vars(value) == vars(validated)
+
+
+@pytest.mark.parametrize(
+    "value, validated", [(v[0], v[2]) for v in VALUES], ids=lambda v: type(v).__name__
+)
+def test_trusted_matches_the_validated_constructor(value, validated):
+    trusted = type(value)._trusted(*vars(validated).values())
+    assert repr(trusted) == repr(validated) == repr(value)
+    assert hash(trusted) == hash(validated)
+    assert list(vars(trusted)) == list(vars(validated)) == list(vars(value))
+
+
+def test_report_records_compare_by_value_and_stay_mutable():
+    report = run_verify(1)
+    check = report.checks[0]
+    assert repr(check) == (
+        "CheckResult(name='path-enumeration-vs-table', scope='i <= 2',"
+        " passed=True, detail='')"
+    )
+    copy = CheckResult(check.name, check.scope, check.passed, check.detail)
+    assert check == copy and not check != copy
+    assert check != CheckResult(check.name, check.scope, check.passed, "witness")
+    fields = (check.name, check.scope, check.passed, check.detail)
+    assert check.__eq__(fields) is NotImplemented
+    assert report == VerifyReport(list(report.checks))
+    assert report.__eq__(report.checks) is NotImplemented
+    for record in (check, report):
+        with pytest.raises(TypeError):
+            hash(record)
+    copy.passed = False
+    assert copy.passed is False and check != copy
+    assert list(report.to_json()["checks"][0]) == ["name", "scope", "passed", "detail"]
