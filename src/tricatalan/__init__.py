@@ -53,7 +53,7 @@ from .matching import (
     shift,
 )
 from .poly import Poly
-from .verify import VerifyReport, run_verify
+from .verify import VerifyReport, iter_verify, run_verify
 
 __version__ = "0.1.0"
 
@@ -101,5 +101,6 @@ __all__ = [
     "shift",
     "Poly",
     "VerifyReport",
+    "iter_verify",
     "run_verify",
 ]

@@ -1,7 +1,11 @@
 """Command-line front end: table, map, enum, verify.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or parse error,
-3 domain rejection.  JSON output is compact and deterministic.
+3 domain rejection.  JSON output is compact and deterministic.  `table
+--format json/csv` writes each column as it is built, and `verify` in text
+and csv writes and flushes each check's line as soon as that check has run;
+`verify --format json` is one object written at the end.  A reader that
+closes stdout early is a normal stop, exit 0.
 """
 
 from __future__ import annotations
@@ -218,21 +222,30 @@ def cmd_enum(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.max_n < 1:
         raise ParseError("--max-n must be at least 1")
-    report = verify_mod.run_verify(args.max_n, seed=args.seed)
+    report = verify_mod.VerifyReport()
+    results = verify_mod.iter_verify(args.max_n, seed=args.seed)
     if args.format == "json":
+        # "overall" comes first in the object, so it is written whole at the end.
+        report.checks.extend(results)
         print(_compact(report.to_json()))
-    elif args.format == "csv":
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(["name", "scope", "passed", "detail"])
-        for c in report.checks:
-            writer.writerow([c.name, c.scope, "pass" if c.passed else "fail", c.detail])
     else:
-        for c in report.checks:
-            line = f"{'PASS' if c.passed else 'FAIL'} {c.name} [{c.scope}]"
-            if c.detail:
-                line += f": {c.detail}"
-            print(line)
-        print(f"overall: {'PASS' if report.overall else 'FAIL'}")
+        if args.format == "csv":
+            writer = csv.writer(sys.stdout, lineterminator="\n")
+            writer.writerow(["name", "scope", "passed", "detail"])
+        for c in results:
+            report.checks.append(c)
+            if args.format == "csv":
+                passed = "pass" if c.passed else "fail"
+                writer.writerow([c.name, c.scope, passed, c.detail])
+            else:
+                line = f"{'PASS' if c.passed else 'FAIL'} {c.name} [{c.scope}]"
+                if c.detail:
+                    line += f": {c.detail}"
+                print(line)
+            # Each line is out as soon as its check has run.
+            sys.stdout.flush()
+        if args.format == "text":
+            print(f"overall: {'PASS' if report.overall else 'FAIL'}")
     return 0 if report.overall else 1
 
 

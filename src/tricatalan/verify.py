@@ -3,14 +3,21 @@
 Every check compares two independent routes to the same numbers.  A check
 is a generator of counterexample witnesses: each string it yields names the
 position or object where the routes disagree and the property that failed.
-A check passes when it yields nothing; run_verify reports the first witness
-of a failing check and stops that check there.  An exception raised while a
-check runs is that check's witness, so one crashing route fails its check
-and the report is still complete.  Closed-form identities scale
-with the requested max_n; the brute-force families are capped at fixed desk
-scales (they grow super-exponentially), and every check reports the range it
-actually ran.  The bijection checks fold every path once and unfold every
-image once; no object goes through a bijection twice.
+A check passes when it yields nothing; iter_verify yields each check's
+result, with the first witness of a failing check, as soon as that check
+has run, and run_verify collects them into one report.  An exception raised
+while a check runs is that check's witness, so one crashing route fails its
+check and the report is still complete.
+
+Closed-form identities scale with the requested max_n.  The four of them
+read one shared pass of the column DP over columns 0..2*max_n, which keeps
+L(2n, n), L(2n, n-1) and the sum of column 2n-1 for each n; each still
+compares them with a second route (a binomial formula, the closed form, or
+another cell).  The brute-force families are capped at fixed desk scales
+(they grow super-exponentially), and every check reports the range it
+actually ran.  Each path is enumerated once per run and shared by the
+checks that read it; the bijection checks fold every path once and unfold
+every image once, so no object goes through a bijection twice.
 """
 
 from __future__ import annotations
@@ -18,6 +25,7 @@ from __future__ import annotations
 import random
 from collections.abc import Callable, Iterator, Sequence
 from functools import cache
+from itertools import zip_longest
 
 from . import eventree, lattice, matching
 from .frozen import Record
@@ -30,6 +38,10 @@ TREE_BIJECTION_MAX_N = 7
 RANDOM_TRIALS = 200
 
 Witnesses = Iterator[str]
+# (i, j) -> every path to (i, j), enumerated once per run.
+Paths = Callable[[int, int], list[str]]
+# () -> (L(2n, n), L(2n, n-1), sum of column 2n-1) for n = 1..max_n.
+Corners = Callable[[], list[tuple[Poly, Poly, Poly]]]
 
 
 class CheckResult(Record):
@@ -73,18 +85,30 @@ def _show_tree(t: eventree.EvenTree) -> str:
     return f"tree {eventree.paren(t)}"
 
 
-def _check_path_oracle(max_i: int) -> Witnesses:
+def _check_path_oracle(max_i: int, paths: Paths) -> Witnesses:
     for i, j in _valid_positions(max_i):
-        paths = lattice.enumerate_paths(i, j)
-        got = histogram_poly(map(lattice.weight_exponent, paths))
+        got = histogram_poly(map(lattice.weight_exponent, paths(i, j)))
         want = lattice.lattice_poly(i, j)
         if got != want:
             yield f"(i,j)=({i},{j}): enumeration gives {got}, table gives {want}"
 
 
-def _check_coeff_formula(max_n: int) -> Witnesses:
-    for n in range(1, max_n + 1):
-        p = lattice.lattice_poly(2 * n, n)
+def _corner_cells(max_n: int) -> list[tuple[Poly, Poly, Poly]]:
+    """The cells Corners lists, from one pass of the column DP over columns
+    0..2*max_n; the pass holds two columns at a time."""
+    cells = []
+    for i, column in enumerate(lattice.lattice_columns(2 * max_n)):
+        if i % 2:
+            column_sum = Poly(map(sum, zip_longest(*column, fillvalue=0)))
+        elif i:
+            n = i // 2
+            on_line, below = Poly._trusted(column[n]), Poly._trusted(column[n - 1])
+            cells.append((on_line, below, column_sum))
+    return cells
+
+
+def _check_coeff_formula(corners: Corners) -> Witnesses:
+    for n, (p, _, _) in enumerate(corners(), 1):
         if p.degree() != n - 1:
             yield f"n={n}: table degree {p.degree()} != {n - 1}"
         for k in range(n):
@@ -99,28 +123,21 @@ def _check_coeff_formula(max_n: int) -> Witnesses:
             yield f"n={n}: coefficient sum {p.eval_at_one()} != {total}"
 
 
-def _check_descent(max_n: int) -> Witnesses:
-    for n in range(1, max_n + 1):
+def _check_descent(corners: Corners) -> Witnesses:
+    for n, (table, _, _) in enumerate(corners(), 1):
         closed = lattice.descent_poly(n + 1)
-        table = lattice.lattice_poly(2 * n, n)
         if closed != table:
             yield f"n={n}: closed form {closed} != table {table}"
 
 
-def _check_row_sum(max_n: int) -> Witnesses:
-    for n in range(1, max_n + 1):
-        total = Poly.zero()
-        for j in range(n):
-            total = total + lattice.lattice_poly(2 * n - 1, j)
-        want = lattice.lattice_poly(2 * n, n)
+def _check_row_sum(corners: Corners) -> Witnesses:
+    for n, (want, _, total) in enumerate(corners(), 1):
         if total != want:
             yield f"n={n}: column sum {total} != corner value {want}"
 
 
-def _check_collapse(max_n: int) -> Witnesses:
-    for n in range(1, max_n + 1):
-        on_line = lattice.lattice_poly(2 * n, n)
-        below = lattice.lattice_poly(2 * n, n - 1)
+def _check_collapse(corners: Corners) -> Witnesses:
+    for n, (on_line, below, _) in enumerate(corners(), 1):
         if on_line != below:
             yield f"n={n}: L(2n,n)={on_line} != L(2n,n-1)={below}"
 
@@ -164,11 +181,11 @@ def _bijection(
             yield f"path {p!r}: unfolding {show(image)} does not give the path back"
 
 
-def _check_matching_bijection(table: Callable[[], dict]) -> Witnesses:
+def _check_matching_bijection(table: Callable[[], dict], paths: Paths) -> Witnesses:
     for (i, j), members in table().items():
         yield from _bijection(
             f"(i,j)=({i},{j})",
-            lattice.enumerate_paths(i, j),
+            paths(i, j),
             members,
             matching.path_to_matching,
             matching.matching_to_path,
@@ -185,11 +202,11 @@ def _check_tree_counts(max_n: int) -> Witnesses:
             yield f"n={n}: r-index polynomial {got} != table {want}"
 
 
-def _check_tree_bijection(max_n: int) -> Witnesses:
+def _check_tree_bijection(max_n: int, paths: Paths) -> Witnesses:
     for n in range(1, max_n + 1):
         yield from _bijection(
             f"n={n}",
-            lattice.enumerate_paths(2 * n, n),
+            paths(2 * n, n),
             eventree.enumerate_even_trees(2 * n),
             eventree.path_to_tree,
             eventree.tree_to_path,
@@ -201,7 +218,7 @@ def _check_tree_bijection(max_n: int) -> Witnesses:
     for i, j in _valid_positions(2 * max_n):
         if i == 2 * j and j >= 1:
             continue
-        images = [eventree.path_to_tree(p) for p in lattice.enumerate_paths(i, j)]
+        images = [eventree.path_to_tree(p) for p in paths(i, j)]
         if len(set(images)) != len(images):
             yield f"(i,j)=({i},{j}): duplicate intermediate trees"
 
@@ -252,19 +269,39 @@ def _check_random_shift_lift(seed: int) -> Witnesses:
                 )
 
 
-def run_verify(max_n: int, seed: int = 0) -> VerifyReport:
-    """Run every identity suite; ranges derive from max_n up to the fixed caps."""
+def iter_verify(max_n: int, seed: int = 0) -> Iterator[CheckResult]:
+    """Run every identity suite, yielding each check's result as soon as it
+    has run; ranges derive from max_n up to the fixed caps.  max_n is checked
+    at call time; the checks run as the results are consumed."""
     if max_n < 1:
         raise ValueError("max_n must be at least 1")
+    return _results(_checks(max_n, seed))
+
+
+def run_verify(max_n: int, seed: int = 0) -> VerifyReport:
+    """Run every identity suite and collect the results of iter_verify."""
+    return VerifyReport(list(iter_verify(max_n, seed)))
+
+
+def _checks(max_n: int, seed: int) -> list[tuple[str, str, Witnesses]]:
+    """(name, scope, witnesses) of every check, in report order; nothing runs
+    until a check's witnesses are read."""
     path_i = min(2 * max_n, PATH_ORACLE_MAX_I)
     matching_i = min(2 * max_n, MATCHING_MAX_I)
     count_n = min(max_n, TREE_COUNT_MAX_N)
     bijection_n = min(max_n, TREE_BIJECTION_MAX_N)
 
+    # Each built on first use inside a check, so an exception while building
+    # is the witness of every check that reads it; those checks share one
+    # successful build.  The cached lists are shared and never mutated.
+    paths = cache(lattice.enumerate_paths)
+
+    @cache
+    def corners() -> list:
+        return _corner_cells(max_n)
+
     @cache
     def table() -> dict:
-        # Built on first use inside a matching check, so an exception here
-        # is that check's witness; both checks share one successful build.
         return {
             (i, j): matching.enumerate_matchings(i, j)
             for i, j in _valid_positions(matching_i)
@@ -272,19 +309,23 @@ def run_verify(max_n: int, seed: int = 0) -> VerifyReport:
 
     closed = f"n = 1..{max_n}"
     matchings = f"i <= {matching_i}"
-    checks = [
-        ("path-enumeration-vs-table", f"i <= {path_i}", _check_path_oracle(path_i)),
-        ("corner-coefficient-formula", closed, _check_coeff_formula(max_n)),
-        ("descent-closed-form", closed, _check_descent(max_n)),
-        ("odd-column-row-sum", closed, _check_row_sum(max_n)),
-        ("on-line-collapse", closed, _check_collapse(max_n)),
+    return [
+        (
+            "path-enumeration-vs-table",
+            f"i <= {path_i}",
+            _check_path_oracle(path_i, paths),
+        ),
+        ("corner-coefficient-formula", closed, _check_coeff_formula(corners)),
+        ("descent-closed-form", closed, _check_descent(corners)),
+        ("odd-column-row-sum", closed, _check_row_sum(corners)),
+        ("on-line-collapse", closed, _check_collapse(corners)),
         ("matching-class-counts", matchings, _check_matching_counts(table)),
-        ("matching-bijection", matchings, _check_matching_bijection(table)),
+        ("matching-bijection", matchings, _check_matching_bijection(table, paths)),
         ("even-tree-counts", f"n = 1..{count_n}", _check_tree_counts(count_n)),
         (
             "even-tree-bijection",
             f"n = 1..{bijection_n}",
-            _check_tree_bijection(bijection_n),
+            _check_tree_bijection(bijection_n, paths),
         ),
         (
             "shift-lift-crossing-deltas",
@@ -292,7 +333,9 @@ def run_verify(max_n: int, seed: int = 0) -> VerifyReport:
             _check_random_shift_lift(seed),
         ),
     ]
-    report = VerifyReport()
+
+
+def _results(checks: list[tuple[str, str, Witnesses]]) -> Iterator[CheckResult]:
     for name, scope, witnesses in checks:
         try:
             witness = next(witnesses, None)
@@ -300,5 +343,4 @@ def run_verify(max_n: int, seed: int = 0) -> VerifyReport:
             # The code under check failed on an input it must accept: that
             # is this check's counterexample, and the other checks still run.
             witness = f"raised {type(exc).__name__}: {exc}"
-        report.checks.append(CheckResult(name, scope, witness is None, witness or ""))
-    return report
+        yield CheckResult(name, scope, witness is None, witness or "")

@@ -100,6 +100,66 @@ def test_verify_report_bytes_unchanged(capsys, fmt):
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_2_SHA256[fmt]
 
 
+class FlushedOnly(io.StringIO):
+    """stdout that shows a reader only what has been flushed."""
+
+    flushed = ""
+
+    def flush(self):
+        self.flushed = self.getvalue()
+
+
+@pytest.mark.parametrize(
+    "fmt, first",
+    [
+        ("text", "PASS path-enumeration-vs-table [i <= 4]\n"),
+        ("csv", "name,scope,passed,detail\npath-enumeration-vs-table,i <= 4,pass,\n"),
+    ],
+)
+def test_verify_streams_each_line_as_its_check_finishes(monkeypatch, fmt, first):
+    out = FlushedOnly()
+    monkeypatch.setattr("sys.stdout", out)
+    seen = []
+    real = lattice.lattice_columns
+
+    def spy(*args):
+        # The second check starts the closed-form checks' DP pass.
+        seen.append(out.flushed)
+        return real(*args)
+
+    monkeypatch.setattr(lattice, "lattice_columns", spy)
+    assert cli.main(["verify", "--max-n", "2", "--format", fmt]) == 0
+    assert seen == [first]
+    assert out.flushed.startswith(first) and len(out.flushed) > len(first)
+
+
+def test_verify_json_is_one_object_written_at_the_end(capsys):
+    argv = ["verify", "--max-n", "2", "--seed", "7", "--format", "json"]
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    assert out == cli._compact(run_verify(2, seed=7).to_json()) + "\n"
+
+
+def test_verify_piped_into_head_exits_cleanly():
+    env = dict(os.environ, PYTHONPATH=str(Path(tricatalan.__file__).parents[1]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "tricatalan", "verify", "--max-n", "6"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    try:
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert first == b"PASS path-enumeration-vs-table [i <= 12]\n"
+    assert code == 0 and err == b""
+
+
 def test_verify_bad_max_n_is_usage_error(capsys):
     code, _, err = run(capsys, ["verify", "--max-n", "0"])
     assert code == 2

@@ -32,6 +32,19 @@ def reversed_path(path):
     return path[::-1]
 
 
+def bump_cell(i, j):
+    """A corruption of streamed lattice_columns that adds 1 to L(i, j)."""
+
+    def wrong(columns):
+        for k, column in enumerate(columns):
+            if k == i:
+                column = list(column)
+                column[j] = (column[j][0] + 1, *column[j][1:])
+            yield column
+
+    return wrong
+
+
 EEENEN_MATCHING = matching.PartialMatching(4, ((1, 3), (2, 4)))
 # The first sample the shift-lift check draws at seed 0, after one shift.
 FIRST_SHIFTED = matching.shift(verify._random_matching(random.Random(0), 12))
@@ -45,8 +58,9 @@ FAULTS = {
         lattice, "catalan3_coeff", (2, 1), plus_one, "n=2 k=1"
     ),
     "descent-closed-form": (lattice, "descent_poly", (3,), plus_one_poly, "n=2"),
-    "odd-column-row-sum": (lattice, "lattice_poly", (3, 0), plus_one_poly, "n=2"),
-    "on-line-collapse": (lattice, "lattice_poly", (4, 1), plus_one_poly, "n=2"),
+    # run_verify(2)'s closed-form checks read one pass over lattice_columns(4).
+    "odd-column-row-sum": (lattice, "lattice_columns", (4,), bump_cell(3, 0), "n=2"),
+    "on-line-collapse": (lattice, "lattice_columns", (4,), bump_cell(4, 1), "n=2"),
     "matching-class-counts": (
         matching, "crossings", (EEENEN_MATCHING,), plus_one, "(i,j)=(4,2)"
     ),
@@ -134,22 +148,28 @@ def test_verify_help_states_the_caps(capsys, monkeypatch):
     assert "tree counts n <= 8" in text and "tree bijection n <= 6" in text
 
 
-def test_verify_folds_and_unfolds_each_object_once(monkeypatch):
-    counts = {}
-
-    def counting(module, name):
+def counting(monkeypatch, *targets):
+    """Count the calls of each (module, name) target; returns the live counts."""
+    counts = {name: 0 for _, name in targets}
+    for module, name in targets:
         real = getattr(module, name)
 
-        def counted(*args):
-            counts[name] = counts.get(name, 0) + 1
+        def counted(*args, name=name, real=real):
+            counts[name] += 1
             return real(*args)
 
         monkeypatch.setattr(module, name, counted)
+    return counts
 
-    counting(matching, "path_to_matching")
-    counting(matching, "matching_to_path")
-    counting(eventree, "path_to_tree")
-    counting(eventree, "tree_to_path")
+
+def test_verify_folds_and_unfolds_each_object_once(monkeypatch):
+    counts = counting(
+        monkeypatch,
+        (matching, "path_to_matching"),
+        (matching, "matching_to_path"),
+        (eventree, "path_to_tree"),
+        (eventree, "tree_to_path"),
+    )
     assert verify.run_verify(5).overall
     # 1,255 paths with i <= 10 (the matching table's members) plus the
     # shift-lift check's 200 samples; 344 trees at (2n, n) for n <= 5.
@@ -159,3 +179,61 @@ def test_verify_folds_and_unfolds_each_object_once(monkeypatch):
         "path_to_tree": 1255,
         "tree_to_path": 344,
     }
+
+
+def test_verify_enumerates_each_path_cell_once(monkeypatch):
+    counts = counting(monkeypatch, (lattice, "enumerate_paths"))
+    assert verify.run_verify(5).overall
+    # The 36 cells with i <= 10, shared by the path oracle and both bijections.
+    assert counts == {"enumerate_paths": 36}
+
+
+CLOSED_FORM = [
+    "corner-coefficient-formula",
+    "descent-closed-form",
+    "odd-column-row-sum",
+    "on-line-collapse",
+]
+
+
+def test_closed_form_checks_share_one_dp_pass(monkeypatch):
+    counts = counting(
+        monkeypatch, (lattice, "lattice_columns"), (lattice, "lattice_poly")
+    )
+    seen = {}
+    for result in verify.iter_verify(5):
+        assert result.passed
+        seen[result.name] = dict(counts)
+    # Results stream: each count is read as soon as its check has run.
+    assert seen["path-enumeration-vs-table"]["lattice_columns"] == 0
+    before = seen["path-enumeration-vs-table"]
+    for name in CLOSED_FORM:
+        assert seen[name] == {
+            "lattice_columns": 1,
+            "lattice_poly": before["lattice_poly"],
+        }
+    assert counts["lattice_columns"] == 1
+
+
+def test_exception_in_the_shared_dp_pass_fails_the_closed_form_checks(
+    capsys, monkeypatch
+):
+    real = lattice.lattice_columns
+
+    def crashing(max_i):
+        for i, column in enumerate(real(max_i)):
+            if i == 3:
+                raise ArithmeticError("injected")
+            yield column
+
+    monkeypatch.setattr(lattice, "lattice_columns", crashing)
+    assert cli.main(["verify", "--max-n", "2"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[1] for line in lines[:-1]] == list(FAULTS)
+    failed = [line for line in lines[:-1] if line.startswith("FAIL")]
+    assert failed == [
+        f"FAIL {name} [n = 1..2]: raised ArithmeticError: injected"
+        for name in CLOSED_FORM
+    ]
+    assert sum(line.startswith("PASS") for line in lines) == 6
+    assert lines[-1] == "overall: FAIL"
