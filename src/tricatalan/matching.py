@@ -31,18 +31,24 @@ to decide membership: it refolds the matching with the same lift rule
 (_lift_positions) and calls contains_forbidden only to explain a rejection.
 
 enumerate_matchings is a deliberately naive brute force, so that it can
-serve as an independent oracle for the bijection: choose the covered points,
-pair them while skipping every edge that breaks the class condition, and
-test each admissible candidate with the generic matcher contains_pattern,
-which assigns increasing values to the pattern's letters one at a time and
-drops a partial assignment as soon as it cannot spell a subsequence.  It
-shares no code with shift/lift, _lift_positions or the arc sweep.
+serve as an independent oracle for the bijection.  It makes one flat pass
+per choice of covered points: it pairs them depth first on an explicit
+stack, skipping every edge that breaks the class condition (the counts come
+from a prefix count of the isolated points, the rule from _edge_violation,
+which admissibility_violation applies too), writes each complete pairing's
+completed sequence in the same loop, and tests it with the generic matcher
+contains_pattern, which assigns increasing values to the pattern's letters
+one at a time and drops a partial assignment as soon as it cannot spell a
+subsequence.  It shares no code with shift/lift, _lift_positions, the folds
+or the arc sweep, and takes no shortcut through the arc criterion: nothing
+in it knows which pair a lift joins, so its agreement with the fold's images
+checks the bijection rather than restating it.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from itertools import combinations
 
 from .errors import NOT_IN_IMAGE, DomainError, ParseError
@@ -124,7 +130,9 @@ def completed_sequence(matching: PartialMatching) -> tuple[int, ...]:
     each other, mirroring the crossing statistic, which counts no crossing
     between two isolated points).
     """
-    return _completed(matching.m, matching.edges)
+    seq = _sequence(matching.m, matching.edges)
+    virtual = [seq[p - 1] for p in matching.isolated()]
+    return seq + tuple(reversed(virtual))
 
 
 def contains_forbidden(matching: PartialMatching) -> bool:
@@ -147,7 +155,7 @@ def _crossing_pair_with_opener_inside(
 
     Openers are the isolated points and left endpoints; the isolated point
     opening the t-th arc from the right closes virtually at m + t, as in
-    _completed.  For each arc B, a crossing A with an opener inside
+    completed_sequence.  For each arc B, a crossing A with an opener inside
     (open B, close A) exists iff some arc opened before B closes strictly
     between the next opener after B and close B.  A Fenwick tree over close
     positions counts the closes of the arcs opened so far.
@@ -215,11 +223,13 @@ def contains_pattern(seq: Sequence[int], pattern: Sequence[int]) -> bool:
             continue
         value_of[letters[k]] = values[t]
         rest = iter(seq)
-        if all(value_of[p] in rest for p in restricted[k]):
+        for p in restricted[k]:
+            if value_of[p] not in rest:
+                tries[k] = t + 1
+                break
+        else:
             tries.append(t + 1)
             k += 1
-        else:
-            tries[k] = t + 1
     return True
 
 
@@ -240,20 +250,23 @@ def admissibility_violation(matching: PartialMatching) -> str | None:
     """Name the first violated class condition, or None if admissible."""
     iso = matching.isolated()
     for a, b in matching.edges:
-        violation = _edge_violation(a, b, iso)
+        before_a, before_b = bisect_left(iso, a), bisect_left(iso, b)
+        violation = _edge_violation(
+            a, b, before_b - before_a, before_a, len(iso) - before_b
+        )
         if violation is not None:
             return violation
     return None
 
 
-def _edge_violation(a: int, b: int, iso: Sequence[int]) -> str | None:
-    """The class condition that edge (a, b) breaks against the sorted
-    isolated points iso, or None; admissible means no edge breaks one."""
-    inside = bisect_left(iso, b) - bisect_right(iso, a)
+def _edge_violation(
+    a: int, b: int, inside: int, before: int, after: int
+) -> str | None:
+    """The class condition that edge (a, b) breaks, given how many isolated
+    points lie inside it, before a and after b, or None; admissible means
+    no edge breaks one."""
     if inside > 1:
         return f"edge ({a},{b}) covers {inside} isolated points"
-    before = bisect_left(iso, a)
-    after = len(iso) - bisect_right(iso, b)
     if before > after:
         return (
             f"edge ({a},{b}) has {before} isolated points before it"
@@ -264,24 +277,6 @@ def _edge_violation(a: int, b: int, iso: Sequence[int]) -> str | None:
 
 def is_admissible(matching: PartialMatching) -> bool:
     return admissibility_violation(matching) is None
-
-
-def _pairings(
-    points: list[int], iso: Sequence[int]
-) -> Iterator[tuple[tuple[int, int], ...]]:
-    """The perfect pairings of the sorted points, each pair and list
-    ascending, that keep every edge admissible against the sorted isolated
-    points iso; a failing edge is skipped with all pairings containing it."""
-    if not points:
-        yield ()
-        return
-    first = points[0]
-    for t in range(1, len(points)):
-        if _edge_violation(first, points[t], iso) is not None:
-            continue
-        rest = points[1:t] + points[t + 1 :]
-        for tail in _pairings(rest, iso):
-            yield ((first, points[t]),) + tail
 
 
 def _sequence(m: int, edges: Sequence[tuple[int, int]]) -> tuple[int, ...]:
@@ -299,33 +294,76 @@ def _sequence(m: int, edges: Sequence[tuple[int, int]]) -> tuple[int, ...]:
     return tuple(seq)
 
 
-def _completed(m: int, edges: Sequence[tuple[int, int]]) -> tuple[int, ...]:
-    seq = _sequence(m, edges)
-    covered = {p for e in edges for p in e}
-    virtual = [seq[p - 1] for p in range(1, m + 1) if p not in covered]
-    return seq + tuple(reversed(virtual))
-
-
 def enumerate_matchings(points: int, edge_count: int) -> list[PartialMatching]:
     """Brute-force oracle: all admissible, pattern-avoiding matchings.
 
-    Pairs every choice of 2*edge_count covered points, skipping each edge
-    that breaks the class condition (a condition on each edge alone), and
-    keeps a candidate when contains_pattern finds no 1,2,3,1,2 in its
-    completed sequence; order is lexicographic on the sorted edge list.
-    Every pairing built here is sorted, disjoint and inside 1..points, so
-    the results are wrapped without the constructor's checks.
+    One flat pass per choice of 2*edge_count covered points.  A prefix count
+    of the isolated points gives each edge's class test its counts by two
+    subtractions.  The pairings are built depth first on an explicit stack,
+    the smallest free point paired with each later free point in turn, and
+    an edge that breaks the class condition (a condition on each edge alone)
+    is skipped with every pairing containing it.  Each complete pairing's
+    completed sequence is written in the same loop, labels in order of first
+    occurrence and then the isolated labels reversed, and the candidate is
+    kept when contains_pattern finds no 1,2,3,1,2 in it; order is
+    lexicographic on the sorted edge list.  Every pairing built here is
+    sorted, disjoint and inside 1..points, so the results are wrapped
+    without the constructor's checks.
     """
     if points < 0 or edge_count < 0 or 2 * edge_count > points:
         raise ValueError(f"need 0 <= 2*{edge_count} <= {points}")
-    all_points = range(1, points + 1)
+    size = 2 * edge_count
+    free_count = points - size
     kept: list[tuple[tuple[int, int], ...]] = []
-    for chosen in combinations(all_points, 2 * edge_count):
+    left_of = [0] * (points + 1)  # left_of[b]: the left end of the edge at b, or 0
+    label = [0] * (points + 1)  # label[p]: the label opened at p
+    line = range(1, points + 1)
+    for chosen in combinations(line, size):
         covered = set(chosen)
-        isolated = [p for p in all_points if p not in covered]
-        for edges in _pairings(list(chosen), isolated):
-            if not contains_pattern(_completed(points, edges), FORBIDDEN_PATTERN):
-                kept.append(edges)
+        before = [0] * (points + 1)  # before[p]: isolated points left of p
+        isolated: list[int] = []
+        for p in line:
+            before[p] = len(isolated)
+            if p not in covered:
+                isolated.append(p)
+        isolated.reverse()  # the order of their virtual closes
+        used = [False] * size
+        taken: list[tuple[int, int]] = []  # (s, t) of each edge taken
+        s, t = 0, 1  # pair chosen[s], the smallest free point, with chosen[t]
+        while True:
+            if len(taken) < edge_count and t < size:
+                a, b = chosen[s], chosen[t]
+                if used[t] or _edge_violation(
+                    a, b, before[b] - before[a], before[a], free_count - before[b]
+                ) is not None:
+                    t += 1
+                    continue
+                used[s] = used[t] = True
+                taken.append((s, t))
+                left_of[b] = a
+                if len(taken) < edge_count:
+                    s = used.index(False, s + 1)
+                    t = s + 1
+                continue
+            if len(taken) == edge_count:
+                seq = []
+                count = 0
+                for p in line:
+                    if left_of[p]:
+                        seq.append(label[left_of[p]])
+                    else:
+                        count += 1
+                        label[p] = count
+                        seq.append(count)
+                seq += [label[p] for p in isolated]
+                if not contains_pattern(seq, FORBIDDEN_PATTERN):
+                    kept.append(tuple((chosen[u], chosen[v]) for u, v in taken))
+            if not taken:
+                break
+            s, t = taken.pop()
+            used[s] = used[t] = False
+            left_of[chosen[t]] = 0
+            t += 1
     kept.sort()
     return [PartialMatching._trusted(points, edges) for edges in kept]
 

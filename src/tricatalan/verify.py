@@ -9,11 +9,14 @@ has run, and run_verify collects them into one report.  An exception raised
 while a check runs is that check's witness, so one crashing route fails its
 check and the report is still complete.
 
-Closed-form identities scale with the requested max_n.  The four of them
-read one shared pass of the column DP over columns 0..2*max_n, which keeps
-L(2n, n), L(2n, n-1) and the sum of column 2n-1 for each n; each still
-compares them with a second route (a binomial formula, the closed form, or
-another cell).  The brute-force families are capped at fixed desk scales
+Every table value a check reads comes from one shared pass of the column
+DP over columns 0..2*max_n, so a run computes the DP once.  The pass keeps
+every cell with i <= min(2*max_n, PATH_ORACLE_MAX_I), which the path
+oracle and the matching class counts read, and L(2n, n), L(2n, n-1) and
+the sum of column 2n-1 for each n.  The four closed-form identities scale
+with the requested max_n and compare those with a second route (a binomial
+formula, the closed form, or another cell); the tree counts read L(2n, n).
+The brute-force families are capped at fixed desk scales
 (they grow super-exponentially), and every check reports the range it
 actually ran.  Each path is enumerated once per run and shared by the
 checks that read it; the bijection checks fold every path once and unfold
@@ -40,6 +43,8 @@ RANDOM_TRIALS = 200
 Witnesses = Iterator[str]
 # (i, j) -> every path to (i, j), enumerated once per run.
 Paths = Callable[[int, int], list[str]]
+# () -> {(i, j): L(i, j)} for every cell with i <= the path oracle's cap.
+Cells = Callable[[], dict[tuple[int, int], Poly]]
 # () -> (L(2n, n), L(2n, n-1), sum of column 2n-1) for n = 1..max_n.
 Corners = Callable[[], list[tuple[Poly, Poly, Poly]]]
 
@@ -85,26 +90,34 @@ def _show_tree(t: eventree.EvenTree) -> str:
     return f"tree {eventree.paren(t)}"
 
 
-def _check_path_oracle(max_i: int, paths: Paths) -> Witnesses:
+def _check_path_oracle(max_i: int, paths: Paths, cells: Cells) -> Witnesses:
+    dp_cells = cells()
     for i, j in _valid_positions(max_i):
         got = histogram_poly(map(lattice.weight_exponent, paths(i, j)))
-        want = lattice.lattice_poly(i, j)
+        want = dp_cells[i, j]
         if got != want:
             yield f"(i,j)=({i},{j}): enumeration gives {got}, table gives {want}"
 
 
-def _corner_cells(max_n: int) -> list[tuple[Poly, Poly, Poly]]:
-    """The cells Corners lists, from one pass of the column DP over columns
-    0..2*max_n; the pass holds two columns at a time."""
-    cells = []
+def _dp_pass(
+    max_n: int, max_i: int
+) -> tuple[dict[tuple[int, int], Poly], list[tuple[Poly, Poly, Poly]]]:
+    """The values Cells and Corners list, from one pass of the column DP
+    over columns 0..2*max_n.  Apart from the cells it keeps, those with
+    i <= max_i, the pass holds two columns at a time."""
+    cells = {}
+    corners = []
     for i, column in enumerate(lattice.lattice_columns(2 * max_n)):
+        if i <= max_i:
+            for j, coeffs in enumerate(column):
+                cells[i, j] = Poly._trusted(coeffs)
         if i % 2:
             column_sum = Poly(map(sum, zip_longest(*column, fillvalue=0)))
         elif i:
             n = i // 2
             on_line, below = Poly._trusted(column[n]), Poly._trusted(column[n - 1])
-            cells.append((on_line, below, column_sum))
-    return cells
+            corners.append((on_line, below, column_sum))
+    return cells, corners
 
 
 def _check_coeff_formula(corners: Corners) -> Witnesses:
@@ -142,10 +155,11 @@ def _check_collapse(corners: Corners) -> Witnesses:
             yield f"n={n}: L(2n,n)={on_line} != L(2n,n-1)={below}"
 
 
-def _check_matching_counts(table: Callable[[], dict]) -> Witnesses:
+def _check_matching_counts(table: Callable[[], dict], cells: Cells) -> Witnesses:
+    dp_cells = cells()
     for (i, j), members in table().items():
         got = histogram_poly(map(matching.crossings, members))
-        want = lattice.lattice_poly(i, j)
+        want = dp_cells[i, j]
         if got != want:
             yield f"(i,j)=({i},{j}): class polynomial {got} != table {want}"
 
@@ -194,10 +208,10 @@ def _check_matching_bijection(table: Callable[[], dict], paths: Paths) -> Witnes
         )
 
 
-def _check_tree_counts(max_n: int) -> Witnesses:
+def _check_tree_counts(max_n: int, corners: Corners) -> Witnesses:
     for n in range(1, max_n + 1):
         got = eventree.r_index_poly(n)
-        want = lattice.lattice_poly(2 * n, n)
+        want = corners()[n - 1][0]
         if got != want:
             yield f"n={n}: r-index polynomial {got} != table {want}"
 
@@ -293,12 +307,18 @@ def _checks(max_n: int, seed: int) -> list[tuple[str, str, Witnesses]]:
 
     # Each built on first use inside a check, so an exception while building
     # is the witness of every check that reads it; those checks share one
-    # successful build.  The cached lists are shared and never mutated.
+    # successful build.  The cached values are shared and never mutated.
     paths = cache(lattice.enumerate_paths)
 
     @cache
+    def dp() -> tuple[dict, list]:
+        return _dp_pass(max_n, path_i)
+
+    def cells() -> dict:
+        return dp()[0]
+
     def corners() -> list:
-        return _corner_cells(max_n)
+        return dp()[1]
 
     @cache
     def table() -> dict:
@@ -313,15 +333,19 @@ def _checks(max_n: int, seed: int) -> list[tuple[str, str, Witnesses]]:
         (
             "path-enumeration-vs-table",
             f"i <= {path_i}",
-            _check_path_oracle(path_i, paths),
+            _check_path_oracle(path_i, paths, cells),
         ),
         ("corner-coefficient-formula", closed, _check_coeff_formula(corners)),
         ("descent-closed-form", closed, _check_descent(corners)),
         ("odd-column-row-sum", closed, _check_row_sum(corners)),
         ("on-line-collapse", closed, _check_collapse(corners)),
-        ("matching-class-counts", matchings, _check_matching_counts(table)),
+        ("matching-class-counts", matchings, _check_matching_counts(table, cells)),
         ("matching-bijection", matchings, _check_matching_bijection(table, paths)),
-        ("even-tree-counts", f"n = 1..{count_n}", _check_tree_counts(count_n)),
+        (
+            "even-tree-counts",
+            f"n = 1..{count_n}",
+            _check_tree_counts(count_n, corners),
+        ),
         (
             "even-tree-bijection",
             f"n = 1..{bijection_n}",

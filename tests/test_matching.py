@@ -1,4 +1,5 @@
 import random
+from bisect import bisect_left, bisect_right
 from itertools import combinations
 
 import pytest
@@ -233,7 +234,8 @@ def test_arc_detector_agrees_with_backtracker_exhaustively():
 
 
 def _unpruned_pairings(points):
-    """Every perfect pairing of the sorted points, in _pairings' order."""
+    """Every perfect pairing of the sorted points in the oracle's order: the
+    smallest point paired with each later point in turn, depth first."""
     if not points:
         yield ()
         return
@@ -242,17 +244,67 @@ def _unpruned_pairings(points):
             yield ((points[0], points[t]),) + tail
 
 
-def test_pruned_pairings_are_the_admissible_pairings_in_order():
+def test_pruned_pairings_are_the_admissible_pairings_in_order(monkeypatch):
+    # The oracle hands contains_pattern the completed sequence of each
+    # pairing that survives its pruning, in the order it builds them; the
+    # completed sequence determines the pairing.  Record them, keep all.
+    seen = []
+
+    def record(seq, pattern):
+        seen.append(tuple(seq))
+        return False
+
+    monkeypatch.setattr(matching, "contains_pattern", record)
     for m in range(11):
         for size in range(0, m + 1, 2):
-            for chosen in combinations(range(1, m + 1), size):
-                iso = [p for p in range(1, m + 1) if p not in chosen]
-                want = [
-                    edges
-                    for edges in _unpruned_pairings(list(chosen))
-                    if matching.admissibility_violation(PartialMatching(m, edges)) is None
-                ]
-                assert list(matching._pairings(list(chosen), iso)) == want
+            want = [
+                edges
+                for chosen in combinations(range(1, m + 1), size)
+                for edges in _unpruned_pairings(list(chosen))
+                if matching.admissibility_violation(PartialMatching(m, edges)) is None
+            ]
+            seen.clear()
+            got = enumerate_matchings(m, size // 2)
+            assert seen == [completed_sequence(PartialMatching(m, e)) for e in want]
+            assert [pm.edges for pm in got] == sorted(want)
+
+
+def _reference_pairings(points, iso):
+    """The admissible perfect pairings of the sorted points against the
+    sorted isolated points iso, by recursion, each edge's counts by bisect."""
+    if not points:
+        yield ()
+        return
+    a = points[0]
+    for t in range(1, len(points)):
+        b = points[t]
+        inside = bisect_left(iso, b) - bisect_right(iso, a)
+        before = bisect_left(iso, a)
+        after = len(iso) - bisect_right(iso, b)
+        if matching._edge_violation(a, b, inside, before, after) is not None:
+            continue
+        for tail in _reference_pairings(points[1:t] + points[t + 1 :], iso):
+            yield ((a, b),) + tail
+
+
+def _reference_enumeration(points, edge_count):
+    """enumerate_matchings by a separate route: combinations, recursive
+    pruned pairings, completed_sequence, then contains_pattern."""
+    kept = []
+    for chosen in combinations(range(1, points + 1), 2 * edge_count):
+        iso = [p for p in range(1, points + 1) if p not in chosen]
+        for edges in _reference_pairings(list(chosen), iso):
+            seq = completed_sequence(PartialMatching(points, edges))
+            if not contains_pattern(seq, FORBIDDEN_PATTERN):
+                kept.append(edges)
+    kept.sort()
+    return [PartialMatching(points, edges) for edges in kept]
+
+
+def test_oracle_equals_the_reference_route():
+    for i in range(13):
+        for j in range(i // 2 + 1):
+            assert enumerate_matchings(i, j) == _reference_enumeration(i, j), (i, j)
 
 
 @given(

@@ -204,15 +204,20 @@ def test_closed_form_checks_share_one_dp_pass(monkeypatch):
     for result in verify.iter_verify(5):
         assert result.passed
         seen[result.name] = dict(counts)
-    # Results stream: each count is read as soon as its check has run.
-    assert seen["path-enumeration-vs-table"]["lattice_columns"] == 0
-    before = seen["path-enumeration-vs-table"]
-    for name in CLOSED_FORM:
-        assert seen[name] == {
-            "lattice_columns": 1,
-            "lattice_poly": before["lattice_poly"],
-        }
-    assert counts["lattice_columns"] == 1
+    # Results stream: each count is read as soon as its check has run.  The
+    # first check starts the one pass; no check reruns the DP per cell.
+    assert list(seen) == list(FAULTS)
+    for name in seen:
+        assert seen[name] == {"lattice_columns": 1, "lattice_poly": 0}
+
+
+def test_verify_runs_without_lattice_poly(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("verify must read the shared DP pass")
+
+    monkeypatch.setattr(lattice, "lattice_poly", refuse)
+    report = verify.run_verify(6)
+    assert report.overall, [c.detail for c in report.checks if not c.passed]
 
 
 def test_exception_in_the_shared_dp_pass_fails_the_closed_form_checks(
@@ -231,9 +236,16 @@ def test_exception_in_the_shared_dp_pass_fails_the_closed_form_checks(
     lines = capsys.readouterr().out.splitlines()
     assert [line.split()[1] for line in lines[:-1]] == list(FAULTS)
     failed = [line for line in lines[:-1] if line.startswith("FAIL")]
+    # Every check that reads a table value reads it from the pass, in order.
+    reads_the_pass = {
+        "path-enumeration-vs-table": "i <= 4",
+        **{name: "n = 1..2" for name in CLOSED_FORM},
+        "matching-class-counts": "i <= 4",
+        "even-tree-counts": "n = 1..2",
+    }
     assert failed == [
-        f"FAIL {name} [n = 1..2]: raised ArithmeticError: injected"
-        for name in CLOSED_FORM
+        f"FAIL {name} [{scope}]: raised ArithmeticError: injected"
+        for name, scope in reads_the_pass.items()
     ]
-    assert sum(line.startswith("PASS") for line in lines) == 6
+    assert sum(line.startswith("PASS") for line in lines) == 3
     assert lines[-1] == "overall: FAIL"
