@@ -73,13 +73,15 @@ def _decode(value: str) -> object:
 
 
 def _path_arg(value: str) -> str:
+    """A JSON string, or else the bare text; the fold that reads the path
+    checks its steps."""
     try:
         obj = _decode(value)
     except json.JSONDecodeError:
-        return lattice.parse_path(value)
+        return value
     if not isinstance(obj, str):
         raise ParseError("a path must be a string over the alphabet {E,N}")
-    return lattice.parse_path(obj)
+    return obj
 
 
 def _tree_arg(value: str) -> eventree.EvenTree:

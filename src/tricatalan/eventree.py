@@ -19,7 +19,12 @@ bit, so equality, hashing and every statistic are loops over one string at
 any depth.  The folds work on a form in which every vertex is a deque of its
 children (both folds keep leaves as the shared () until a lift grows one);
 each step pushes and pops at or next to the ends of the root and of one
-child, in O(1), and a fold converts to or from the text once.
+child, in O(1), and a fold converts to or from the text once.  path_to_tree
+checks each step inside its fold loop, raising parse_path's error for the
+first bad one, and writes the text of its working form with a walker that
+trusts that form (_trusted_body), as tree_lift does.  The public
+constructor takes nested sequences from users and checks every vertex as
+it writes the text (_paren_body), then the text itself (_check).
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from collections import deque
 
 from .errors import NOT_IN_IMAGE, DomainError, ParseError
 from .frozen import Frozen
-from .lattice import EAST, NORTH, parse_path
+from .lattice import EAST, NORTH, _step_error
 from .poly import Poly, histogram_poly
 
 
@@ -81,6 +86,25 @@ def _paren_body(root: object) -> str:
     return "".join(out)[1:-2]  # without the root's parentheses and the last ")"
 
 
+def _trusted_body(root: _Vertex) -> str:
+    """The paren text of the children of root, a vertex of the working form,
+    walked with an explicit stack; the form is trusted, so no child is
+    checked (_paren_body checks each one, for user input)."""
+    out: list[str] = []
+    stack = [iter(root)]
+    while stack:
+        for child in stack[-1]:  # write leaves, descend into the next inner child
+            if child:
+                out.append("(")
+                stack.append(iter(child))
+                break
+            out.append("()")
+        else:
+            out.append(")")
+            stack.pop()
+    return "".join(out)[:-1]  # without the root's closing ")"
+
+
 def _check(body: str, dotted: bool) -> None:
     """Refuse paren text that is unbalanced or has a vertex of odd degree, and
     a dotted tree without two root children of which the first is a leaf."""
@@ -120,13 +144,15 @@ def r_index(tree: EvenTree) -> int:
     """Half the sum of right-child degrees; dotted edges count as ordinary."""
     total = 0
     stack: list[list[int]] = [[]]  # child degrees seen so far, per open vertex
-    for ch in "(" + tree.body + ")":  # the root is a vertex like the others
+    for ch in tree.body:
         if ch == "(":
             stack.append([])
         else:
             degrees = stack.pop()
             stack[-1].append(len(degrees))
             total += sum(degrees[len(degrees) // 2 :])
+    root = stack[0]  # the root is a vertex like the others
+    total += sum(root[len(root) // 2 :])
     assert total % 2 == 0, "sum of right-child degrees must be even"
     return total // 2
 
@@ -192,7 +218,7 @@ def tree_lift(tree: EvenTree, i: int, j: int) -> EvenTree:
     if len(root) < 4 and (i % 2 == 1 or j != i // 2 - 1):
         raise DomainError("lift unavailable: root degree below four")
     _lift(root, i, j)
-    return EvenTree._trusted(_paren_body(root), tree.dotted)
+    return EvenTree._trusted(_trusted_body(root), tree.dotted)
 
 
 def _lift(root: _Vertex, i: int, j: int) -> None:
@@ -221,8 +247,11 @@ def _lift(root: _Vertex, i: int, j: int) -> None:
 
 
 def path_to_tree(path: str) -> EvenTree:
-    """Fold a path into a tree: shift per east step, lift per north step."""
-    parse_path(path)
+    """Fold a path into a tree: shift per east step, lift per north step.
+
+    Each step is checked as it is folded, with parse_path's errors: a north
+    step from (x, y) is legal exactly when x >= 2(y + 1).
+    """
     root = _Vertex()
     x = y = 0
     for ch in path:
@@ -231,10 +260,12 @@ def path_to_tree(path: str) -> EvenTree:
                 root.appendleft(())
                 root.append(())
             x += 1
-        else:
+        elif ch == NORTH and x >= 2 * (y + 1):
             _lift(root, x, y)
             y += 1
-    return EvenTree._trusted(_paren_body(root), x % 2 == 1)
+        else:
+            raise _step_error(ch, x + y)
+    return EvenTree._trusted(_trusted_body(root), x % 2 == 1)
 
 
 def tree_to_path(tree: EvenTree, endpoint: tuple[int, int] | None = None) -> str:

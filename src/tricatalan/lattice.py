@@ -33,13 +33,20 @@ def parse_path(text: str) -> str:
     for k, ch in enumerate(text):
         if ch == EAST:
             x += 1
-        elif ch == NORTH:
+        elif ch == NORTH and x >= 2 * (y + 1):
             y += 1
         else:
-            raise ParseError(f"invalid step {ch!r} at index {k}: expected 'E' or 'N'")
-        if x < 2 * y:
-            raise ParseError(f"step at index {k} moves above the line x = 2y")
+            raise _step_error(ch, k)
     return text
+
+
+def _step_error(step: object, index: int) -> ParseError:
+    """parse_path's error for a bad step at index: a step other than E or N,
+    or else a north step from a point with x < 2(y + 1), which leaves the
+    region.  The folds, which check their steps as they go, raise it too."""
+    if step != EAST and step != NORTH:
+        return ParseError(f"invalid step {step!r} at index {index}: expected 'E' or 'N'")
+    return ParseError(f"step at index {index} moves above the line x = 2y")
 
 
 def path_endpoint(path: str) -> tuple[int, int]:

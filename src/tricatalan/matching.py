@@ -28,7 +28,8 @@ Stanley and Yan, "Crossings and nestings of matchings and partitions"
 matchings" (Electron. J. Combin., 2007).  contains_forbidden tests that
 criterion with one sweep over the arcs.  matching_to_path does not need it
 to decide membership: it refolds the matching with the same lift rule
-(_lift_positions) and calls contains_forbidden only to explain a rejection.
+(_lift_positions, inlined in its loop) and calls contains_forbidden only
+to explain a rejection.
 
 enumerate_matchings is a deliberately naive brute force, so that it can
 serve as an independent oracle for the bijection.  It makes one flat pass
@@ -39,21 +40,28 @@ which admissibility_violation applies too), writes each complete pairing's
 completed sequence in the same loop, and tests it with the generic matcher
 contains_pattern, which assigns increasing values to the pattern's letters
 one at a time and drops a partial assignment as soon as it cannot spell a
-subsequence.  It shares no code with shift/lift, _lift_positions, the folds
-or the arc sweep, and takes no shortcut through the arc criterion: nothing
-in it knows which pair a lift joins, so its agreement with the fold's images
+subsequence.  A pattern's letter ranks and its cut-down forms are prepared
+once and kept in a memo bounded to a few patterns (_restricted), so the
+oracle's calls, all with FORBIDDEN_PATTERN, share one preparation.  It
+shares no code with shift/lift, _lift_positions, the folds or the arc
+sweep, and takes no shortcut through the arc criterion: nothing in it
+knows which pair a lift joins, so its agreement with the fold's images
 checks the bijection rather than restating it.
+
+path_to_matching checks each step inside its fold loop and raises
+parse_path's error for the first bad one, so a path is read once.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
 from collections.abc import Sequence
-from itertools import combinations
+from functools import lru_cache
+from itertools import chain, combinations
 
 from .errors import NOT_IN_IMAGE, DomainError, ParseError
 from .frozen import Frozen
-from .lattice import EAST, NORTH, parse_path
+from .lattice import EAST, NORTH, _step_error
 from .poly import Poly, histogram_poly
 
 FORBIDDEN_PATTERN = (1, 2, 3, 1, 2)
@@ -99,12 +107,9 @@ class PartialMatching(Frozen):
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "edges", tuple(pairs))
 
-    def covered(self) -> set[int]:
-        return {p for e in self.edges for p in e}
-
     def isolated(self) -> tuple[int, ...]:
-        covered = self.covered()
-        return tuple(p for p in range(1, self.m + 1) if p not in covered)
+        points = set(range(1, self.m + 1))
+        return tuple(sorted(points.difference(chain.from_iterable(self.edges))))
 
 
 def canonical_sequence(matching: PartialMatching) -> tuple[int, ...]:
@@ -200,31 +205,30 @@ def contains_pattern(seq: Sequence[int], pattern: Sequence[int]) -> bool:
     order, one at a time, each a larger value than the last; a partial
     assignment is abandoned as soon as the pattern cut down to the letters
     assigned so far does not spell a subsequence of seq, which every full
-    match would, so pruning rejects no match.
+    match would, so pruning rejects no match.  The cut-down patterns come
+    from _restricted, prepared once per pattern.
     """
-    seq, pattern = tuple(seq), tuple(pattern)
-    letters = sorted(set(pattern))
+    seq = tuple(seq)
+    restricted = _restricted(tuple(pattern))
     values = sorted(set(seq))
-    # restricted[k]: pattern with only its k + 1 smallest letters left in
-    restricted = [[p for p in pattern if p <= letter] for letter in letters]
-    value_of: dict[int, int] = {}
-    need = len(letters)
-    spare = len(values) - need  # letters[k] takes at most values[k + spare]
-    tries = [0]  # tries[k]: index in values of the next value to give letters[k]
+    need = len(restricted)
+    spare = len(values) - need  # letter k takes at most values[k + spare]
+    value_of = [0] * need  # value_of[k]: the value given to the letter of rank k
+    tries = [0]  # tries[k]: index in values of the next value to give letter k
     k = 0
     while k < need:
         t = tries[k]
-        if t > k + spare:  # no value left for letters[k]: back up one letter
+        if t > k + spare:  # no value left for letter k: back up one letter
             if k == 0:
                 return False
             tries.pop()
             k -= 1
             tries[k] += 1
             continue
-        value_of[letters[k]] = values[t]
+        value_of[k] = values[t]
         rest = iter(seq)
-        for p in restricted[k]:
-            if value_of[p] not in rest:
+        for rank in restricted[k]:
+            if value_of[rank] not in rest:
                 tries[k] = t + 1
                 break
         else:
@@ -233,12 +237,23 @@ def contains_pattern(seq: Sequence[int], pattern: Sequence[int]) -> bool:
     return True
 
 
+@lru_cache(maxsize=8)
+def _restricted(pattern: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """The pattern written in the ranks of its letters (0 for the smallest),
+    cut down to ranks <= k, for k = 0 .. the number of letters - 1."""
+    letters = sorted(set(pattern))
+    rank_of = {letter: rank for rank, letter in enumerate(letters)}
+    ranks = [rank_of[p] for p in pattern]
+    return tuple(tuple(r for r in ranks if r <= k) for k in range(len(letters)))
+
+
 def crossings(matching: PartialMatching) -> int:
     """Edge pairs a < c < b < d, plus (edge, isolated point inside it) pairs."""
     edges = matching.edges
     count = 0
-    for (a, b), (c, d) in combinations(edges, 2):
-        if a < c < b < d or c < a < d < b:
+    # The edges are sorted and disjoint, so a < c in every pair taken here.
+    for (_, b), (c, d) in combinations(edges, 2):
+        if c < b < d:
             count += 1
     iso = matching.isolated()
     for a, b in edges:
@@ -398,8 +413,12 @@ def lift(matching: PartialMatching) -> PartialMatching:
 
 
 def path_to_matching(path: str) -> PartialMatching:
-    """Fold a path into a matching: shift per east step, lift per north step."""
-    parse_path(path)
+    """Fold a path into a matching: shift per east step, lift per north step.
+
+    Each step is checked as it is folded, with parse_path's errors: after
+    x east and y north steps x - 2y points are isolated, so a north step
+    stays in the region exactly when at least two are.
+    """
     iso: list[int] = []
     edges: list[tuple[int, int]] = []
     m = 0
@@ -407,10 +426,12 @@ def path_to_matching(path: str) -> PartialMatching:
         if ch == EAST:
             m += 1
             iso.append(m)
-        else:
+        elif ch == NORTH and len(iso) >= 2:
             lo, hi = _lift_positions(len(iso))
             edges.append((iso[lo], iso[hi]))
             del iso[hi], iso[lo]
+        else:
+            raise _step_error(ch, m + len(edges))
     edges.sort()
     return PartialMatching._trusted(m, tuple(edges))
 
@@ -433,8 +454,9 @@ def matching_to_path(matching: PartialMatching) -> str:
     for point in range(1, matching.m + 1):
         iso.append(point)
         steps.append(EAST)
-        while len(iso) >= 2:
-            lo, hi = _lift_positions(len(iso))
+        while (count := len(iso)) >= 2:
+            lo = count // 2 - 1  # _lift_positions(count), inlined
+            hi = lo + 1 + count % 2
             if unused.get(iso[lo]) != iso[hi]:
                 break
             del unused[iso[lo]], iso[hi], iso[lo]

@@ -40,13 +40,6 @@ class Poly(Frozen):
     def zero(cls) -> Poly:
         return cls._trusted(())
 
-    @classmethod
-    def one(cls) -> Poly:
-        return cls._trusted((1,))
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def degree(self) -> int:
         """Degree of the polynomial; -1 for the zero polynomial."""
         return len(self.coeffs) - 1
@@ -66,12 +59,6 @@ class Poly(Frozen):
         for k, c in enumerate(b):
             summed[k] += c
         return Poly._trusted(_trim(tuple(summed)))
-
-    def mul_x(self) -> Poly:
-        """Multiply by x (shift every coefficient up one power)."""
-        if not self.coeffs:
-            return self
-        return Poly._trusted((0,) + self.coeffs)
 
     def eval_at_one(self) -> int:
         """Sum of coefficients, i.e. the total count behind the polynomial."""

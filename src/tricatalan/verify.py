@@ -13,7 +13,9 @@ Every table value a check reads comes from one shared pass of the column
 DP over columns 0..2*max_n, so a run computes the DP once.  The pass keeps
 every cell with i <= min(2*max_n, PATH_ORACLE_MAX_I), which the path
 oracle and the matching class counts read, and L(2n, n), L(2n, n-1) and
-the sum of column 2n-1 for each n.  The four closed-form identities scale
+the sum of column 2n-1 for each n.  It is read only as far as a check
+needs: the first check reads the kept cells' columns, and the closed-form
+checks read on to column 2*max_n.  The four closed-form identities scale
 with the requested max_n and compare those with a second route (a binomial
 formula, the closed form, or another cell); the tree counts read L(2n, n).
 The brute-force families are capped at fixed desk scales
@@ -99,25 +101,55 @@ def _check_path_oracle(max_i: int, paths: Paths, cells: Cells) -> Witnesses:
             yield f"(i,j)=({i},{j}): enumeration gives {got}, table gives {want}"
 
 
-def _dp_pass(
-    max_n: int, max_i: int
-) -> tuple[dict[tuple[int, int], Poly], list[tuple[Poly, Poly, Poly]]]:
-    """The values Cells and Corners list, from one pass of the column DP
-    over columns 0..2*max_n.  Apart from the cells it keeps, those with
-    i <= max_i, the pass holds two columns at a time."""
-    cells = {}
-    corners = []
-    for i, column in enumerate(lattice.lattice_columns(2 * max_n)):
-        if i <= max_i:
+class _DPPass:
+    """One lazy pass of the column DP over columns 0..2*max_n, read as far as
+    a check needs it: cells() reads through column max_i and corners() on to
+    the end, so the first check does not wait for the whole pass.  Apart
+    from the cells it keeps, those with i <= max_i, the pass holds two
+    columns at a time.  The pass starts on first read, inside a check, and
+    an exception it raises is raised again to every later reader."""
+
+    def __init__(self, max_n: int, max_i: int) -> None:
+        self._last = 2 * max_n
+        self._max_i = max_i
+        self._columns: Iterator[list[tuple[int, ...]]] | None = None
+        self._read = 0  # the columns read so far
+        self._error: Exception | None = None
+        self._column_sum = Poly.zero()
+        self._cells: dict[tuple[int, int], Poly] = {}
+        self._corners: list[tuple[Poly, Poly, Poly]] = []
+
+    def cells(self) -> dict[tuple[int, int], Poly]:
+        self._read_through(self._max_i)
+        return self._cells
+
+    def corners(self) -> list[tuple[Poly, Poly, Poly]]:
+        self._read_through(self._last)
+        return self._corners
+
+    def _read_through(self, last: int) -> None:
+        if self._error is not None:
+            raise self._error
+        try:
+            if self._columns is None:
+                self._columns = lattice.lattice_columns(self._last)
+            while self._read <= last:
+                self._keep(self._read, next(self._columns))
+                self._read += 1
+        except Exception as exc:
+            self._error = exc
+            raise
+
+    def _keep(self, i: int, column: list[tuple[int, ...]]) -> None:
+        if i <= self._max_i:
             for j, coeffs in enumerate(column):
-                cells[i, j] = Poly._trusted(coeffs)
+                self._cells[i, j] = Poly._trusted(coeffs)
         if i % 2:
-            column_sum = Poly(map(sum, zip_longest(*column, fillvalue=0)))
+            self._column_sum = Poly(map(sum, zip_longest(*column, fillvalue=0)))
         elif i:
             n = i // 2
             on_line, below = Poly._trusted(column[n]), Poly._trusted(column[n - 1])
-            corners.append((on_line, below, column_sum))
-    return cells, corners
+            self._corners.append((on_line, below, self._column_sum))
 
 
 def _check_coeff_formula(corners: Corners) -> Witnesses:
@@ -309,16 +341,7 @@ def _checks(max_n: int, seed: int) -> list[tuple[str, str, Witnesses]]:
     # is the witness of every check that reads it; those checks share one
     # successful build.  The cached values are shared and never mutated.
     paths = cache(lattice.enumerate_paths)
-
-    @cache
-    def dp() -> tuple[dict, list]:
-        return _dp_pass(max_n, path_i)
-
-    def cells() -> dict:
-        return dp()[0]
-
-    def corners() -> list:
-        return dp()[1]
+    dp = _DPPass(max_n, path_i)
 
     @cache
     def table() -> dict:
@@ -333,18 +356,18 @@ def _checks(max_n: int, seed: int) -> list[tuple[str, str, Witnesses]]:
         (
             "path-enumeration-vs-table",
             f"i <= {path_i}",
-            _check_path_oracle(path_i, paths, cells),
+            _check_path_oracle(path_i, paths, dp.cells),
         ),
-        ("corner-coefficient-formula", closed, _check_coeff_formula(corners)),
-        ("descent-closed-form", closed, _check_descent(corners)),
-        ("odd-column-row-sum", closed, _check_row_sum(corners)),
-        ("on-line-collapse", closed, _check_collapse(corners)),
-        ("matching-class-counts", matchings, _check_matching_counts(table, cells)),
+        ("corner-coefficient-formula", closed, _check_coeff_formula(dp.corners)),
+        ("descent-closed-form", closed, _check_descent(dp.corners)),
+        ("odd-column-row-sum", closed, _check_row_sum(dp.corners)),
+        ("on-line-collapse", closed, _check_collapse(dp.corners)),
+        ("matching-class-counts", matchings, _check_matching_counts(table, dp.cells)),
         ("matching-bijection", matchings, _check_matching_bijection(table, paths)),
         (
             "even-tree-counts",
             f"n = 1..{count_n}",
-            _check_tree_counts(count_n, corners),
+            _check_tree_counts(count_n, dp.corners),
         ),
         (
             "even-tree-bijection",

@@ -217,6 +217,20 @@ def test_map_parse_errors_exit_2(capsys):
     assert exit_info.value.code == 2 and "invalid choice" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind", ["path-to-matching", "path-to-tree"])
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        ("EENNE", "step at index 3 moves above the line x = 2y"),
+        ('"EENNE"', "step at index 3 moves above the line x = 2y"),
+        ("EEXEN", "invalid step 'X' at index 2: expected 'E' or 'N'"),
+        ('"EEXEN"', "invalid step 'X' at index 2: expected 'E' or 'N'"),
+    ],
+)
+def test_map_names_the_first_bad_path_step(capsys, kind, value, message):
+    assert run(capsys, ["map", kind, value]) == (2, "", f"error: {message}\n")
+
+
 def test_map_domain_rejections_exit_3(capsys):
     code, _, err = run(capsys, ["map", "matching-to-path", '{"m":4,"edges":[[1,4]]}'])
     assert code == 3 and "covers 2 isolated points" in err

@@ -1,9 +1,11 @@
 import sys
 import tracemalloc
+from itertools import product
 
 import pytest
 
 from tricatalan.errors import ParseError
+from tricatalan.eventree import path_to_tree
 from tricatalan.lattice import (
     catalan3,
     catalan3_coeff,
@@ -16,6 +18,7 @@ from tricatalan.lattice import (
     path_endpoint,
     weight_exponent,
 )
+from tricatalan.matching import path_to_matching
 from tricatalan.poly import Poly
 
 # The full printed table of weighted path counts, row by row.
@@ -45,10 +48,10 @@ def test_golden_table(i, j, coeffs):
 
 
 def test_above_line_is_zero():
-    assert lattice_poly(1, 1).is_zero()
-    assert lattice_poly(5, 3).is_zero()
-    assert lattice_poly(-1, 0).is_zero()
-    assert lattice_poly(3, -1).is_zero()
+    assert lattice_poly(1, 1) == Poly.zero()
+    assert lattice_poly(5, 3) == Poly.zero()
+    assert lattice_poly(-1, 0) == Poly.zero()
+    assert lattice_poly(3, -1) == Poly.zero()
 
 
 def test_parse_path_accepts_valid():
@@ -69,6 +72,24 @@ def test_parse_path_reports_first_violation_index():
         parse_path("ENE")
     with pytest.raises(ParseError, match="index 3"):
         parse_path("EENN")
+
+
+def _outcome(function, path):
+    try:
+        function(path)
+    except ParseError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("fold", [path_to_matching, path_to_tree])
+def test_folds_check_each_step_as_parse_path_does(fold):
+    # The folds check their steps in their own loop, so each must accept
+    # exactly what parse_path accepts and name the same first bad step.
+    for length in range(9):
+        for steps in product("ENX", repeat=length):
+            path = "".join(steps)
+            assert _outcome(fold, path) == _outcome(parse_path, path), path
 
 
 def test_weight_exponent():
@@ -165,7 +186,7 @@ def test_lattice_table_validates_at_call_time():
     with pytest.raises(ValueError):
         lattice_columns(-1)
     cells = lattice_table(0)
-    assert [(i, j, p) for i, j, p in cells] == [(0, 0, Poly.one())]
+    assert [(i, j, p) for i, j, p in cells] == [(0, 0, Poly((1,)))]
 
 
 def test_streams_agree_with_lattice_poly():

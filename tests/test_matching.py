@@ -1,6 +1,6 @@
 import random
 from bisect import bisect_left, bisect_right
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given
@@ -129,6 +129,22 @@ def _naive_contains(seq, pattern):
 )
 def test_pattern_engine_agrees_with_naive_matcher(seq, pattern):
     assert contains_pattern(seq, pattern) == _naive_contains(tuple(seq), tuple(pattern))
+
+
+def test_prepared_patterns_stay_correct_past_the_memo_bound():
+    # Each pattern's ranks and cut-down forms are prepared once, behind a
+    # bounded memo; more distinct patterns than it holds, each called between
+    # two calls with FORBIDDEN_PATTERN, must still get their own answers.
+    bound = matching._restricted.cache_info().maxsize
+    patterns = list(product((1, 2, 3), repeat=3))
+    assert bound is not None and len(patterns) > bound
+    rng = random.Random(3)
+    for _ in range(30):
+        seq = tuple(rng.randint(1, 5) for _ in range(rng.randint(0, 9)))
+        for pattern in patterns:
+            for p in (FORBIDDEN_PATTERN, pattern):
+                assert contains_pattern(seq, p) == _naive_contains(seq, p), (seq, p)
+    assert matching._restricted.cache_info().currsize <= bound
 
 
 def test_crossings_micro_values():

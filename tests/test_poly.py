@@ -17,12 +17,6 @@ def test_add_examples():
     assert (Poly((1,)) + Poly((-1,))).coeffs == ()
 
 
-def test_mul_x():
-    assert Poly((1,)).mul_x() == Poly((0, 1))
-    assert Poly((2, 1)).mul_x() == Poly((0, 2, 1))
-    assert Poly.zero().mul_x() == Poly.zero()
-
-
 def test_eq_canonicalizes_trailing_zeros():
     assert Poly((1, 1)) == Poly((1, 1, 0))
     assert Poly((1, 1)) != Poly((1, 2))

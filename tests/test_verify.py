@@ -25,7 +25,7 @@ def plus_one(value):
 
 
 def plus_one_poly(p):
-    return p + Poly.one()
+    return p + Poly((1,))
 
 
 def reversed_path(path):
@@ -209,6 +209,33 @@ def test_closed_form_checks_share_one_dp_pass(monkeypatch):
     assert list(seen) == list(FAULTS)
     for name in seen:
         assert seen[name] == {"lattice_columns": 1, "lattice_poly": 0}
+
+
+def test_first_check_reads_only_the_columns_it_needs(monkeypatch):
+    # The path oracle needs columns 0..14; the closed-form checks carry on
+    # through the same pass to column 2 * max_n.
+    real = lattice.lattice_columns
+    calls, read = [], []
+
+    def counted(max_i):
+        calls.append(max_i)
+
+        def columns():
+            for column in real(max_i):
+                read.append(column)
+                yield column
+
+        return columns()
+
+    monkeypatch.setattr(lattice, "lattice_columns", counted)
+    results = verify.iter_verify(200)
+    first = next(results)
+    assert first.name == "path-enumeration-vs-table" and first.passed
+    assert len(read) <= verify.PATH_ORACLE_MAX_I + 1 and calls == [400]
+    for name in CLOSED_FORM:
+        result = next(results)
+        assert result.name == name and result.passed
+    assert len(read) == 401 and calls == [400]
 
 
 def test_verify_runs_without_lattice_poly(monkeypatch):
