@@ -32,8 +32,8 @@ MAP_KINDS = (
 )
 
 
-def _compact(obj: object) -> str:
-    return json.dumps(obj, separators=(",", ":"))
+# One prebuilt encoder: json.dumps with separators builds a new one per call.
+_compact = json.JSONEncoder(separators=(",", ":")).encode
 
 
 def _read_value(value: str) -> str:
@@ -100,24 +100,49 @@ def _json_arg(value: str) -> object:
         raise ParseError(f"invalid JSON: {exc}") from exc
 
 
+def _coeff_digits(coeffs: tuple[int, ...]) -> list[str]:
+    """The decimal text of each coefficient.  A palindromic cell, as every
+    cell of an odd column is, converts its first half and mirrors it; the
+    equality test decides, so any other cell is converted whole."""
+    n = len(coeffs)
+    half = n // 2
+    if coeffs[:half] != coeffs[: n - half - 1 : -1]:
+        return list(map(str, coeffs))
+    digits = list(map(str, coeffs[: n - half]))
+    return digits + digits[:half][::-1]
+
+
 def cmd_table(args: argparse.Namespace) -> int:
     if args.max_i < 0:
         raise ParseError("--max-i must be nonnegative")
     if args.format == "json":
-        # Each column is encoded as soon as it is built; joined without their
+        # Each column is written as soon as it is built; joined without their
         # own brackets, the column lists give the bytes of one compact list.
+        write = sys.stdout.write
         separator = "["
         for i, column in enumerate(lattice.lattice_columns(args.max_i)):
-            encoded = _compact([[i, j, coeffs] for j, coeffs in enumerate(column)])
-            sys.stdout.write(separator + encoded[1:-1])
+            write(separator)
             separator = ","
-        sys.stdout.write("]\n")
+            if i % 2 == 0:
+                write(_compact([[i, j, coeffs] for j, coeffs in enumerate(column)])[1:-1])
+                continue
+            # Odd columns are palindromic: convert their heads, and let each
+            # cell's brackets ride on its first and last number, so that one
+            # join builds the column's text.
+            pieces: list[str] = []
+            for j, coeffs in enumerate(column):
+                digits = _coeff_digits(coeffs)
+                digits[0] = f"[{i},{j},[{digits[0]}"
+                digits[-1] += "]]"
+                pieces += digits
+            write(",".join(pieces))
+        write("]\n")
     elif args.format == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(["i", "j", "coeffs"])
         for i, column in enumerate(lattice.lattice_columns(args.max_i)):
             writer.writerows(
-                [i, j, " ".join(map(str, coeffs))] for j, coeffs in enumerate(column)
+                [i, j, " ".join(_coeff_digits(coeffs))] for j, coeffs in enumerate(column)
             )
     else:
         _print_grid(args.max_i)

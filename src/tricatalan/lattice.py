@@ -12,6 +12,11 @@ The dynamic program runs column by column (_columns) and holds only the
 previous column and the one being built, as plain coefficient tuples, so
 its memory is bounded by two columns and it uses no recursion and no cache.
 lattice_poly, lattice_columns and lattice_table all read from it.
+
+Every odd-column cell L(2m+1, j) is a palindrome of degree j: x >= 2y binds
+only at the end of each column pair (2s, 2s+1), so swapping the north-step
+counts of columns 2s and 2s+1 turns weight k into j - k.  The DP does not
+use this; the table writers in cli do.
 """
 
 from __future__ import annotations

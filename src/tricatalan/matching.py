@@ -96,8 +96,10 @@ class PartialMatching(Frozen):
             if type(a) is not int or type(b) is not int:
                 bad = b if type(a) is int else a
                 raise _integer_error(f"edge {e!r}: each endpoint", bad)
-            if not (1 <= a < b <= m):
+            if not (1 <= a <= m and 1 <= b <= m):
                 raise ParseError(f"edge ({a},{b}) is not inside 1..{m}")
+            if a >= b:
+                raise ParseError(f"edge ({a},{b}): a must be less than b")
             if a in seen or b in seen:
                 raise ParseError(f"edge ({a},{b}) reuses an endpoint")
             seen.add(a)

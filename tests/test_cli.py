@@ -231,6 +231,20 @@ def test_map_names_the_first_bad_path_step(capsys, kind, value, message):
     assert run(capsys, ["map", kind, value]) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize(
+    "edges, message",
+    [
+        ("[[2,1]]", "edge (2,1): a must be less than b"),
+        ("[[1,1]]", "edge (1,1): a must be less than b"),
+        ("[[1,5]]", "edge (1,5) is not inside 1..4"),
+        ("[[0,2]]", "edge (0,2) is not inside 1..4"),
+    ],
+)
+def test_map_names_the_bad_edge(capsys, edges, message):
+    argv = ["map", "matching-to-path", '{"m":4,"edges":%s}' % edges]
+    assert run(capsys, argv) == (2, "", f"error: {message}\n")
+
+
 def test_map_domain_rejections_exit_3(capsys):
     code, _, err = run(capsys, ["map", "matching-to-path", '{"m":4,"edges":[[1,4]]}'])
     assert code == 3 and "covers 2 isolated points" in err
@@ -331,6 +345,41 @@ def test_table_streamed_bytes_unchanged(capsys, fmt):
     code, out, _ = run(capsys, ["table", "--max-i", "16", "--format", fmt])
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == TABLE_16_SHA256[fmt]
+
+
+# Odd columns hold cells of length 1 and 2, odd- and even-length palindromes
+# and non-palindromes, which the writers must convert whole.
+FAKE_COLUMNS = [
+    [(1,), (4, 4)],
+    [(7,), (5, 6), (3, 9, 3), (2, 8, 8, 2), (1, 2, 3), (10**40, 3, 10**40), (4, 1, 4, 5)],
+    [(2, 2), (6, 1, 6)],
+    [(12345678901234567890,), (9, 9)],
+]
+
+
+def test_table_writes_every_cell_exactly(capsys, monkeypatch):
+    monkeypatch.setattr(lattice, "lattice_columns", lambda max_i: iter(FAKE_COLUMNS))
+    cells = [
+        (i, j, coeffs)
+        for i, column in enumerate(FAKE_COLUMNS)
+        for j, coeffs in enumerate(column)
+    ]
+    _, out, _ = run(capsys, ["table", "--max-i", "3", "--format", "json"])
+    compact = [json.dumps([i, j, list(c)], separators=(",", ":")) for i, j, c in cells]
+    assert out == "[" + ",".join(compact) + "]\n"
+    _, out, _ = run(capsys, ["table", "--max-i", "3", "--format", "csv"])
+    rows = [f"{i},{j},{' '.join(map(str, c))}" for i, j, c in cells]
+    assert out == "i,j,coeffs\n" + "\n".join(rows) + "\n"
+
+
+def test_table_json_equals_a_plain_encoding_of_the_table(capsys):
+    _, out, _ = run(capsys, ["table", "--max-i", "101", "--format", "json"])
+    cells = [[i, j, list(p.coeffs)] for i, j, p in lattice.lattice_table(101)]
+    want = json.dumps(cells, separators=(",", ":")) + "\n"
+    if out != want:  # megabytes on one line: name where they part, not a diff
+        end = min(len(out), len(want))
+        at = next((k for k, (a, b) in enumerate(zip(out, want)) if a != b), end)
+        pytest.fail(f"output parts from the reference at {at}: {out[at : at + 80]!r}")
 
 
 class CountingWriter(io.TextIOBase):

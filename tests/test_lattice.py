@@ -19,7 +19,7 @@ from tricatalan.lattice import (
     weight_exponent,
 )
 from tricatalan.matching import path_to_matching
-from tricatalan.poly import Poly
+from tricatalan.poly import Poly, histogram_poly
 
 # The full printed table of weighted path counts, row by row.
 GOLDEN = [
@@ -199,6 +199,21 @@ def test_streams_agree_with_lattice_poly():
     for i, j, p in cells:
         assert p == lattice_poly(i, j) == Poly(columns[i][j]), (i, j)
         assert p.coeffs == columns[i][j] and p.coeffs[-1] != 0
+
+
+# The odd-column symmetry that the module docstring proves, by two routes.
+@pytest.mark.parametrize("i", range(1, 16, 2))
+def test_odd_column_weights_are_palindromes_by_enumeration(i):
+    for j in range(i // 2 + 1):
+        coeffs = histogram_poly(map(weight_exponent, enumerate_paths(i, j))).coeffs
+        assert len(coeffs) == j + 1, (i, j)
+        assert coeffs == coeffs[::-1], (i, j)
+
+
+def test_odd_columns_of_the_dp_are_palindromes():
+    for i, column in enumerate(lattice_columns(200)):
+        if i % 2:
+            assert all(coeffs == coeffs[::-1] for coeffs in column), i
 
 
 def test_cold_deep_corner_needs_no_recursion():

@@ -36,10 +36,11 @@ from tricatalan.verify import _random_path
 def test_construction_validates():
     PartialMatching(0)
     PartialMatching(5, ((1, 4), (3, 5)))
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match=r"edge \(1,4\) is not inside 1\.\.3"):
         PartialMatching(3, ((1, 4),))
-    with pytest.raises(ParseError):
-        PartialMatching(4, ((2, 2),))
+    for edge in ((2, 2), (2, 1)):
+        with pytest.raises(ParseError, match=r"a must be less than b"):
+            PartialMatching(4, (edge,))
     with pytest.raises(ParseError):
         PartialMatching(4, ((1, 3), (3, 4)))
     with pytest.raises(ParseError):
