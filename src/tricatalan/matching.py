@@ -34,19 +34,24 @@ to explain a rejection.
 enumerate_matchings is a deliberately naive brute force, so that it can
 serve as an independent oracle for the bijection.  It makes one flat pass
 per choice of covered points: it pairs them depth first on an explicit
-stack, skipping every edge that breaks the class condition (the counts come
-from a prefix count of the isolated points, the rule from _edge_violation,
-which admissibility_violation applies too), writes each complete pairing's
-completed sequence in the same loop, and tests it with the generic matcher
-contains_pattern, which assigns increasing values to the pattern's letters
-one at a time and drops a partial assignment as soon as it cannot spell a
-subsequence.  A pattern's letter ranks and its cut-down forms are prepared
-once and kept in a memo bounded to a few patterns (_restricted), so the
-oracle's calls, all with FORBIDDEN_PATTERN, share one preparation.  It
-shares no code with shift/lift, _lift_positions, the folds or the arc
-sweep, and takes no shortcut through the arc criterion: nothing in it
-knows which pair a lift joins, so its agreement with the fold's images
-checks the bijection rather than restating it.
+stack, skipping every edge that breaks the class condition, writes each
+complete pairing's completed sequence in the same loop, and tests it with
+the generic matcher contains_pattern, which assigns increasing values to
+the pattern's letters one at a time and drops a partial assignment as soon
+as it cannot spell a subsequence.  A pattern's letter ranks and its
+cut-down forms are prepared once and kept in a memo bounded to a few
+patterns (_restricted), so the oracle's calls, all with FORBIDDEN_PATTERN,
+share one preparation.  It shares no code with shift/lift,
+_lift_positions, the folds or the arc sweep, and takes no shortcut through
+the arc criterion: nothing in it knows which pair a lift joins, so its
+agreement with the fold's images checks the bijection rather than
+restating it.  Each edge's counts come from a prefix count of the isolated
+points, and the class rule is tested inline by the two comparisons of
+_edge_violation, which admissibility_violation applies with its messages.
+test_pruned_pairings_are_the_admissible_pairings_in_order
+(tests/test_matching.py) pins the oracle's pruning to
+admissibility_violation for every covered set with m <= 10, so the two
+copies of the rule cannot drift apart.
 
 path_to_matching checks each step inside its fold loop and raises
 parse_path's error for the first bad one, so a path is read once.
@@ -54,7 +59,7 @@ parse_path's error for the first bad one, so a path is read once.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, insort
 from collections.abc import Sequence
 from functools import lru_cache
 from itertools import chain, combinations
@@ -250,16 +255,36 @@ def _restricted(pattern: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
 
 
 def crossings(matching: PartialMatching) -> int:
-    """Edge pairs a < c < b < d, plus (edge, isolated point inside it) pairs."""
-    edges = matching.edges
-    count = 0
-    # The edges are sorted and disjoint, so a < c in every pair taken here.
-    for (_, b), (c, d) in combinations(edges, 2):
-        if c < b < d:
-            count += 1
-    iso = matching.isolated()
-    for a, b in edges:
-        count += bisect_left(iso, b) - bisect_right(iso, a)
+    """Edge pairs a < c < b < d, plus (edge, isolated point inside it) pairs.
+
+    One left-to-right sweep.  opened holds the left ends of the open edges
+    in ascending order.  At the right end b of an edge (a, b), the edges
+    opened after a and still open are those that cross it, and the
+    isolated points passed since a are those it covers: the running count
+    of isolated points is subtracted at a and added at b.  Each right end
+    costs one bisection and one deletion from opened, whose shift moves only
+    the entries after a.  A seeded 10^5-step path or the staircase
+    E^(2k) N^k with k = 10^5 takes under 0.1 s, and k = 4*10^5 about 0.4 s
+    (Python 3.11, one CPU); comparing every pair of edges took 2.7 s at
+    20,000 east steps.
+    """
+    mate = [0] * (matching.m + 1)  # mate[p]: b at a left end a, -a at a right end b
+    for a, b in matching.edges:
+        mate[a] = b
+        mate[b] = -a
+    opened: list[int] = []
+    isolated = count = 0
+    for p in range(1, matching.m + 1):
+        q = mate[p]
+        if q > 0:
+            opened.append(p)
+            count -= isolated
+        elif q:
+            k = bisect_left(opened, -q)
+            count += len(opened) - k - 1 + isolated
+            del opened[k]
+        else:
+            isolated += 1
     return count
 
 
@@ -281,7 +306,8 @@ def _edge_violation(
 ) -> str | None:
     """The class condition that edge (a, b) breaks, given how many isolated
     points lie inside it, before a and after b, or None; admissible means
-    no edge breaks one."""
+    no edge breaks one.  enumerate_matchings tests the same two conditions
+    inline."""
     if inside > 1:
         return f"edge ({a},{b}) covers {inside} isolated points"
     if before > after:
@@ -350,9 +376,13 @@ def enumerate_matchings(points: int, edge_count: int) -> list[PartialMatching]:
         while True:
             if len(taken) < edge_count and t < size:
                 a, b = chosen[s], chosen[t]
-                if used[t] or _edge_violation(
-                    a, b, before[b] - before[a], before[a], free_count - before[b]
-                ) is not None:
+                # _edge_violation's two conditions: more than one isolated
+                # point inside (a, b), or more before a than after b.
+                if (
+                    used[t]
+                    or before[b] - before[a] > 1
+                    or before[a] > free_count - before[b]
+                ):
                     t += 1
                     continue
                 used[s] = used[t] = True
@@ -374,7 +404,7 @@ def enumerate_matchings(points: int, edge_count: int) -> list[PartialMatching]:
                         seq.append(count)
                 seq += [label[p] for p in isolated]
                 if not contains_pattern(seq, FORBIDDEN_PATTERN):
-                    kept.append(tuple((chosen[u], chosen[v]) for u, v in taken))
+                    kept.append(tuple([(chosen[u], chosen[v]) for u, v in taken]))
             if not taken:
                 break
             s, t = taken.pop()

@@ -22,7 +22,9 @@ The brute-force families are capped at fixed desk scales
 (they grow super-exponentially), and every check reports the range it
 actually ran.  Each path is enumerated once per run and shared by the
 checks that read it; the bijection checks fold every path once and unfold
-every image once, so no object goes through a bijection twice.
+every image once, so no object goes through a bijection twice.  The
+class-count check records each matching member's crossings, and the
+matching bijection reads them back, so each member is counted once per run.
 """
 
 from __future__ import annotations
@@ -187,10 +189,16 @@ def _check_collapse(corners: Corners) -> Witnesses:
             yield f"n={n}: L(2n,n)={on_line} != L(2n,n-1)={below}"
 
 
-def _check_matching_counts(table: Callable[[], dict], cells: Cells) -> Witnesses:
+def _check_matching_counts(
+    table: Callable[[], dict], cells: Cells, crossings_of: dict
+) -> Witnesses:
+    """Also records each member's crossings in crossings_of, for the
+    bijection check to read back."""
     dp_cells = cells()
     for (i, j), members in table().items():
-        got = histogram_poly(map(matching.crossings, members))
+        values = [matching.crossings(m) for m in members]
+        crossings_of.update(zip(members, values))
+        got = histogram_poly(values)
         want = dp_cells[i, j]
         if got != want:
             yield f"(i,j)=({i},{j}): class polynomial {got} != table {want}"
@@ -227,7 +235,18 @@ def _bijection(
             yield f"path {p!r}: unfolding {show(image)} does not give the path back"
 
 
-def _check_matching_bijection(table: Callable[[], dict], paths: Paths) -> Witnesses:
+def _check_matching_bijection(
+    table: Callable[[], dict], paths: Paths, crossings_of: dict
+) -> Witnesses:
+    """The statistic reads each image's crossings from crossings_of, which
+    the class-count check fills for every member it reaches; only an image
+    missing from it is counted here, and an image that is no member fails
+    the "images differ" witness anyway."""
+
+    def statistic(image: matching.PartialMatching) -> int:
+        value = crossings_of.get(image)
+        return matching.crossings(image) if value is None else value
+
     for (i, j), members in table().items():
         yield from _bijection(
             f"(i,j)=({i},{j})",
@@ -235,7 +254,7 @@ def _check_matching_bijection(table: Callable[[], dict], paths: Paths) -> Witnes
             members,
             matching.path_to_matching,
             matching.matching_to_path,
-            matching.crossings,
+            statistic,
             _show_matching,
         )
 
@@ -350,6 +369,8 @@ def _checks(max_n: int, seed: int) -> list[tuple[str, str, Witnesses]]:
             for i, j in _valid_positions(matching_i)
         }
 
+    crossings_of: dict[matching.PartialMatching, int] = {}  # member -> crossings
+
     closed = f"n = 1..{max_n}"
     matchings = f"i <= {matching_i}"
     return [
@@ -362,8 +383,16 @@ def _checks(max_n: int, seed: int) -> list[tuple[str, str, Witnesses]]:
         ("descent-closed-form", closed, _check_descent(dp.corners)),
         ("odd-column-row-sum", closed, _check_row_sum(dp.corners)),
         ("on-line-collapse", closed, _check_collapse(dp.corners)),
-        ("matching-class-counts", matchings, _check_matching_counts(table, dp.cells)),
-        ("matching-bijection", matchings, _check_matching_bijection(table, paths)),
+        (
+            "matching-class-counts",
+            matchings,
+            _check_matching_counts(table, dp.cells, crossings_of),
+        ),
+        (
+            "matching-bijection",
+            matchings,
+            _check_matching_bijection(table, paths, crossings_of),
+        ),
         (
             "even-tree-counts",
             f"n = 1..{count_n}",

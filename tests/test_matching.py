@@ -286,6 +286,45 @@ def test_pruned_pairings_are_the_admissible_pairings_in_order(monkeypatch):
             assert [pm.edges for pm in got] == sorted(want)
 
 
+def _pairwise_crossings(pm):
+    """Crossings by comparing every pair of edges, plus a bisection per edge
+    into the isolated points: a test-only reference for the sweep."""
+    count = 0
+    # The edges are sorted and disjoint, so a < c in every pair taken here.
+    for (_, b), (c, d) in combinations(pm.edges, 2):
+        if c < b < d:
+            count += 1
+    iso = pm.isolated()
+    for a, b in pm.edges:
+        count += bisect_left(iso, b) - bisect_right(iso, a)
+    return count
+
+
+def test_crossings_sweep_equals_the_pairwise_count_exhaustively():
+    # Every partial matching with m <= 10, admissible or not.
+    for m in range(11):
+        for pm in _all_matchings(m):
+            assert crossings(pm) == _pairwise_crossings(pm), pm
+
+
+@given(
+    st.integers(min_value=0, max_value=40),
+    st.lists(st.integers(min_value=0, max_value=10 ** 6), max_size=20),
+)
+def test_crossings_sweep_equals_the_pairwise_count_on_random_matchings(m, seeds):
+    pm = _build_matching(m, seeds)
+    assert crossings(pm) == _pairwise_crossings(pm)
+
+
+def test_crossings_on_long_paths():
+    # The pairwise count would take about a minute on this path.
+    path = _random_path(random.Random(1), 10 ** 5)
+    assert crossings(path_to_matching(path)) == weight_exponent(path)
+    k = 10 ** 5
+    staircase = "E" * (2 * k) + "N" * k
+    assert crossings(path_to_matching(staircase)) == weight_exponent(staircase) == 0
+
+
 def _reference_pairings(points, iso):
     """The admissible perfect pairings of the sorted points against the
     sorted isolated points iso, by recursion, each edge's counts by bisect."""

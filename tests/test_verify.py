@@ -181,6 +181,19 @@ def test_verify_folds_and_unfolds_each_object_once(monkeypatch):
     }
 
 
+def test_verify_counts_each_members_crossings_once(monkeypatch):
+    counts = counting(monkeypatch, (matching, "crossings"))
+    seen = {}
+    for result in verify.iter_verify(5):
+        assert result.passed
+        seen[result.name] = counts["crossings"]
+    # The class counts take the 1,255 members' crossings and the bijection
+    # reads them back; the shift-lift check makes 4 calls per sample.
+    assert seen["matching-class-counts"] == 1255
+    assert seen["matching-bijection"] == 1255
+    assert counts["crossings"] == 1255 + 4 * verify.RANDOM_TRIALS
+
+
 def test_verify_enumerates_each_path_cell_once(monkeypatch):
     counts = counting(monkeypatch, (lattice, "enumerate_paths"))
     assert verify.run_verify(5).overall
