@@ -38,10 +38,15 @@ stack, skipping every edge that breaks the class condition, writes each
 complete pairing's completed sequence in the same loop, and tests it with
 the generic matcher contains_pattern, which assigns increasing values to
 the pattern's letters one at a time and drops a partial assignment as soon
-as it cannot spell a subsequence.  A pattern's letter ranks and its
-cut-down forms are prepared once and kept in a memo bounded to a few
-patterns (_restricted), so the oracle's calls, all with FORBIDDEN_PATTERN,
-share one preparation.  It shares no code with shift/lift,
+as it cannot spell a subsequence.  That search is compiled from source
+text once per pattern, on the pattern's first call, and kept in a memo
+bounded to a few patterns (_restricted), so the oracle's calls, all with
+FORBIDDEN_PATTERN, share one compiled search: one nested for loop per
+letter, each testing its cut-down pattern inline.  The source is built
+from the letters' ranks alone, never from the values of the pattern or
+the word, so no input becomes code; tests/test_matching.py checks the
+compiled search against a naive matcher and a backtracker.  The oracle
+shares no code with shift/lift,
 _lift_positions, the folds or the arc sweep, and takes no shortcut through
 the arc criterion: nothing in it knows which pair a lift joins, so its
 agreement with the fold's images checks the bijection rather than
@@ -60,7 +65,7 @@ parse_path's error for the first bad one, so a path is read once.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from functools import lru_cache
 from itertools import chain, combinations
 
@@ -212,46 +217,68 @@ def contains_pattern(seq: Sequence[int], pattern: Sequence[int]) -> bool:
     order, one at a time, each a larger value than the last; a partial
     assignment is abandoned as soon as the pattern cut down to the letters
     assigned so far does not spell a subsequence of seq, which every full
-    match would, so pruning rejects no match.  The cut-down patterns come
-    from _restricted, prepared once per pattern.
+    match would, so pruning rejects no match.  That search is compiled once
+    per pattern by _restricted.
     """
     seq = tuple(seq)
-    restricted = _restricted(tuple(pattern))
-    values = sorted(set(seq))
-    need = len(restricted)
-    spare = len(values) - need  # letter k takes at most values[k + spare]
-    value_of = [0] * need  # value_of[k]: the value given to the letter of rank k
-    tries = [0]  # tries[k]: index in values of the next value to give letter k
-    k = 0
-    while k < need:
-        t = tries[k]
-        if t > k + spare:  # no value left for letter k: back up one letter
-            if k == 0:
-                return False
-            tries.pop()
-            k -= 1
-            tries[k] += 1
-            continue
-        value_of[k] = values[t]
-        rest = iter(seq)
-        for rank in restricted[k]:
-            if value_of[rank] not in rest:
-                tries[k] = t + 1
-                break
-        else:
-            tries.append(t + 1)
-            k += 1
-    return True
+    return _restricted(tuple(pattern))(seq, sorted(set(seq)))
+
+
+# Loop levels per compiled function: CPython refuses more than 20
+# statically nested blocks in one function.
+_LEVELS = 16
 
 
 @lru_cache(maxsize=8)
-def _restricted(pattern: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """The pattern written in the ranks of its letters (0 for the smallest),
-    cut down to ranks <= k, for k = 0 .. the number of letters - 1."""
+def _restricted(pattern: tuple[int, ...]) -> Callable[[tuple, list], bool]:
+    """contains_pattern's search for one pattern, compiled: a function of
+    (seq, values), values being the sorted distinct values of seq.
+
+    Letter k is the pattern's k-th smallest value.  The search nests one
+    for loop per letter k, over the indexes of values above letter k-1's
+    that leave a value for each larger letter.  Each level tests at once,
+    inline, that the pattern cut down to letters 0..k spells a subsequence
+    of seq, as one chain `v0 not in rest or v1 not in rest ...` on a single
+    iterator over seq, and moves to letter k's next value when it does not.
+    The source holds only letter numbers, never pattern values.  A pattern
+    with more than _LEVELS letters continues its loops in a second function
+    called from the innermost level of the first, and so on.  The source
+    grows with the pattern's length times its letter count, so compiling
+    a pattern of a thousand distinct letters takes seconds; patterns of a
+    few letters, like FORBIDDEN_PATTERN, compile in well under a
+    millisecond.
+    """
     letters = sorted(set(pattern))
     rank_of = {letter: rank for rank, letter in enumerate(letters)}
     ranks = [rank_of[p] for p in pattern]
-    return tuple(tuple(r for r in ranks if r <= k) for k in range(len(letters)))
+    need = len(letters)
+    source = ["def search0(seq, values):", f"    last = len(values) - {need}"]
+    for first in range(0, need or 1, _LEVELS):
+        stop = min(first + _LEVELS, need)
+        if first:
+            known = "".join(f", v{r}" for r in range(first))
+            source.append(f"def search{first}(seq, values, last, i{first - 1}{known}):")
+        pad = "    "
+        for k in range(first, stop):
+            test = " or ".join(f"v{r} not in rest" for r in ranks if r <= k)
+            source += [
+                f"{pad}for i{k} in range({f'i{k - 1} + 1' if k else 0}, last + {k + 1}):",
+                f"{pad}    v{k} = values[i{k}]",
+                f"{pad}    rest = iter(seq)",
+                f"{pad}    if {test}:",
+                f"{pad}        continue",
+            ]
+            pad += "    "
+        if stop == need:
+            source.append(f"{pad}return True")
+        else:
+            known = "".join(f", v{r}" for r in range(stop))
+            source.append(f"{pad}if search{stop}(seq, values, last, i{stop - 1}{known}):")
+            source.append(f"{pad}    return True")
+        source.append("    return False")
+    namespace: dict[str, object] = {}
+    exec(compile("\n".join(source), "<contains_pattern>", "exec"), namespace)
+    return namespace["search0"]
 
 
 def crossings(matching: PartialMatching) -> int:

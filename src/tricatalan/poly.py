@@ -32,6 +32,9 @@ class Poly(Frozen):
     def __init__(self, coeffs: Iterable[int] = ()) -> None:
         coeffs = tuple(coeffs)
         for c in coeffs:
+            # bool is an int subclass, but True is no count.
+            if isinstance(c, bool):
+                raise TypeError(f"coefficients must be int, got the boolean {c!r}")
             if not isinstance(c, int):
                 raise TypeError(f"coefficients must be int, got {type(c).__name__}")
         object.__setattr__(self, "coeffs", _trim(coeffs))

@@ -3,7 +3,7 @@ from bisect import bisect_left, bisect_right
 from itertools import combinations, product
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tricatalan import matching
@@ -109,6 +109,17 @@ def test_contains_pattern_examples():
     assert not contains_pattern((3, 7, 8, 3), (5, 2, 9, 2))
     assert contains_pattern((2, 2, 6, 2, 6, 6), (1, 1, 4))
     assert not contains_pattern((6, 6, 2, 2), (1, 1, 4))
+    # A fifth letter's values must lie above the fourth's, and every level
+    # must test all letters so far, the smallest included.
+    assert not contains_pattern((4, 6, 3, 1, 3, 5, 4, 5), (1, 0, 3, 2, 4))
+    assert not contains_pattern((4, 1, 2, 3, 0, 1, 2, 3), (0, 4, 1, 2, 3))
+    # More letters than one compiled function nests loops for: the later
+    # letters' loops run in the functions it calls.
+    word = tuple(range(17))
+    assert contains_pattern(word + (16,), word + (16,))
+    assert not contains_pattern(word + (15,), word + (16,))
+    assert contains_pattern(range(40), range(0, 80, 2))
+    assert not contains_pattern(range(39), range(40))
 
 
 def _naive_contains(seq, pattern):
@@ -124,11 +135,35 @@ def _naive_contains(seq, pattern):
     return False
 
 
-@given(
-    st.lists(st.integers(min_value=1, max_value=6), max_size=12),
-    st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=5),
-)
-def test_pattern_engine_agrees_with_naive_matcher(seq, pattern):
+@st.composite
+def _words_and_patterns(draw):
+    # The empty pattern, and up to 6 letters with gaps and negative values
+    # in a pattern of at most 6 places.
+    count = draw(st.integers(min_value=0, max_value=6))
+    letters = draw(
+        st.lists(
+            st.sampled_from((-7, -2, 0, 3, 4, 9)),
+            unique=True, min_size=count, max_size=count,
+        )
+    )
+    repeats = []
+    if letters:
+        repeats = draw(st.lists(st.sampled_from(letters), max_size=6 - count))
+    pattern = draw(st.permutations(letters + repeats))
+    seq = draw(st.lists(st.integers(min_value=-3, max_value=6), max_size=8))
+    # Half the words get a copy of the pattern spliced in, each letter
+    # doubled and sometimes moved by one or three, which may tie or swap
+    # neighbours: long patterns are then found about as often as missed.
+    if draw(st.booleans()):
+        at = draw(st.integers(min_value=0, max_value=len(seq)))
+        seq[at:at] = [2 * p + draw(st.sampled_from((0, 0, 1, -1, 3, -3))) for p in pattern]
+    return seq, pattern
+
+
+@settings(max_examples=300)
+@given(_words_and_patterns())
+def test_pattern_engine_agrees_with_naive_matcher(case):
+    seq, pattern = case
     assert contains_pattern(seq, pattern) == _naive_contains(tuple(seq), tuple(pattern))
 
 

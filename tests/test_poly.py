@@ -58,6 +58,11 @@ def test_json_rendering():
 def test_rejects_non_integers():
     with pytest.raises(TypeError):
         Poly((1.5,))
+    # JSON booleans are never integers, though bool subclasses int.
+    with pytest.raises(TypeError, match="got the boolean True"):
+        Poly((True, 2))
+    with pytest.raises(TypeError, match="got the boolean False"):
+        Poly([3, False])
 
 
 def test_histogram_poly():

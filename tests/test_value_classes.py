@@ -9,6 +9,7 @@ import pytest
 
 import tricatalan
 from tricatalan import EvenTree, PartialMatching, Poly, tree_from_paren
+from tricatalan.frozen import Frozen
 from tricatalan.verify import CheckResult, VerifyReport, run_verify
 
 
@@ -77,6 +78,33 @@ def test_trusted_matches_the_validated_constructor(value, validated):
     assert repr(trusted) == repr(validated) == repr(value)
     assert hash(trusted) == hash(validated)
     assert list(vars(trusted)) == list(vars(validated)) == list(vars(value))
+
+
+def test_trusted_and_hash_are_written_for_each_class():
+    # Fields named cls and value, names that a method's own parameters and
+    # locals often take: the compiled _trusted and __hash__ must not clash.
+    class Sample(Frozen):
+        value: int
+        cls: str
+        rest: tuple
+
+    class Twin(Frozen):
+        value: int
+        cls: str
+        rest: tuple
+
+    x = Sample._trusted(3, "c", (1,))
+    assert list(vars(x).items()) == [("value", 3), ("cls", "c"), ("rest", (1,))]
+    assert repr(x) == "Sample(value=3, cls='c', rest=(1,))"
+    assert hash(x) == hash(tuple(vars(x).values())) == hash((3, "c", (1,)))
+    assert x == Sample._trusted(3, "c", (1,)) and x != Sample._trusted(3, "c", ())
+    twin = Twin._trusted(3, "c", (1,))
+    assert hash(twin) == hash(x) and x != twin and not x == twin
+    with pytest.raises(TypeError):
+        Sample._trusted(3, "c")
+    with pytest.raises(AttributeError, match="cannot assign"):
+        x.cls = "d"
+    assert x.cls == "c"
 
 
 def test_report_records_compare_by_value_and_stay_mutable():
