@@ -2,10 +2,10 @@
 
 Exit codes: 0 success, 1 verification failure, 2 usage or parse error,
 3 domain rejection.  JSON output is compact and deterministic.  `table
---format json/csv` writes each column as it is built, and `verify` in text
-and csv writes and flushes each check's line as soon as that check has run;
-`verify --format json` is one object written at the end.  A reader that
-closes stdout early is a normal stop, exit 0.
+--format json/csv` writes each cell as soon as it is converted, and `verify`
+in text and csv writes and flushes each check's line as soon as that check
+has run; `verify --format json` is one object written at the end.  A reader
+that closes stdout early is a normal stop, exit 0.
 """
 
 from __future__ import annotations
@@ -115,37 +115,28 @@ def _coeff_digits(coeffs: tuple[int, ...]) -> list[str]:
 def cmd_table(args: argparse.Namespace) -> int:
     if args.max_i < 0:
         raise ParseError("--max-i must be nonnegative")
-    if args.format == "json":
-        # Each column is written as soon as it is built; joined without their
-        # own brackets, the column lists give the bytes of one compact list.
-        write = sys.stdout.write
-        separator = "["
-        for i, column in enumerate(lattice.lattice_columns(args.max_i)):
-            write(separator)
-            separator = ","
-            if i % 2 == 0:
-                write(_compact([[i, j, coeffs] for j, coeffs in enumerate(column)])[1:-1])
-                continue
-            # Odd columns are palindromic: convert their heads, and let each
-            # cell's brackets ride on its first and last number, so that one
-            # join builds the column's text.
-            pieces: list[str] = []
-            for j, coeffs in enumerate(column):
-                digits = _coeff_digits(coeffs)
-                digits[0] = f"[{i},{j},[{digits[0]}"
-                digits[-1] += "]]"
-                pieces += digits
-            write(",".join(pieces))
-        write("]\n")
-    elif args.format == "csv":
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(["i", "j", "coeffs"])
-        for i, column in enumerate(lattice.lattice_columns(args.max_i)):
-            writer.writerows(
-                [i, j, " ".join(_coeff_digits(coeffs))] for j, coeffs in enumerate(column)
-            )
-    else:
+    if args.format == "text":
         _print_grid(args.max_i)
+        return 0
+    # One write per cell, as soon as it is converted, so no string is ever
+    # larger than one cell's text.  No csv field can need quoting (digits and
+    # spaces only), so rows are written without csv.writer.
+    write = sys.stdout.write
+    cells = (
+        (i, j, coeffs)
+        for i, column in enumerate(lattice.lattice_columns(args.max_i))
+        for j, coeffs in enumerate(column)
+    )
+    if args.format == "json":
+        separator = "["
+        for i, j, coeffs in cells:
+            write(f"{separator}[{i},{j},[{','.join(_coeff_digits(coeffs))}]]")
+            separator = ","
+        write("]\n")
+    else:
+        write("i,j,coeffs\n")
+        for i, j, coeffs in cells:
+            write(f"{i},{j},{' '.join(_coeff_digits(coeffs))}\n")
     return 0
 
 
@@ -291,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="print the polynomial table",
         description=(
             "The weighted path polynomials L(i, j) for 0 <= 2j <= i <= max-i."
-            " json and csv stream column by column at any size; the text grid"
+            " json and csv stream cell by cell at any size; the text grid"
             " needs every cell at once and is limited to"
             f" --max-i <= {TEXT_TABLE_MAX_I}."
         ),

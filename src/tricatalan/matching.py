@@ -218,10 +218,17 @@ def contains_pattern(seq: Sequence[int], pattern: Sequence[int]) -> bool:
     assignment is abandoned as soon as the pattern cut down to the letters
     assigned so far does not spell a subsequence of seq, which every full
     match would, so pruning rejects no match.  That search is compiled once
-    per pattern by _restricted.
+    per pattern by _restricted.  A seq with fewer distinct values than the
+    pattern has letters is answered False without compiling any search.
     """
     seq = tuple(seq)
-    return _restricted(tuple(pattern))(seq, sorted(set(seq)))
+    pattern = tuple(pattern)
+    values = sorted(set(seq))
+    # len(pattern) bounds the letter count, so the letters are counted only
+    # for a word with fewer values than the pattern has places.
+    if len(values) < len(pattern) and len(values) < len(set(pattern)):
+        return False
+    return _restricted(pattern)(seq, values)
 
 
 # Loop levels per compiled function: CPython refuses more than 20

@@ -382,6 +382,41 @@ def test_table_json_equals_a_plain_encoding_of_the_table(capsys):
         pytest.fail(f"output parts from the reference at {at}: {out[at : at + 80]!r}")
 
 
+class RecordingWriter(io.TextIOBase):
+    """stdout stand-in that keeps each write as its own string."""
+
+    def __init__(self):
+        self.writes = []
+
+    def writable(self):
+        return True
+
+    def write(self, s):
+        self.writes.append(s)
+        return len(s)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_table_writes_are_cell_sized(monkeypatch, fmt):
+    writer = RecordingWriter()
+    monkeypatch.setattr("sys.stdout", writer)
+    assert cli.main(["table", "--max-i", "60", "--format", fmt]) == 0
+    cells = [[i, j, list(p.coeffs)] for i, j, p in lattice.lattice_table(60)]
+    if fmt == "json":
+        texts = [json.dumps(cell, separators=(",", ":")) for cell in cells]
+        # Each cell's text with the separator before it ("[" for the first).
+        pieces = ["[" + texts[0], *("," + text for text in texts[1:]), "]\n"]
+    else:
+        reference = io.StringIO()
+        rows = csv.writer(reference, lineterminator="\n")
+        rows.writerow(["i", "j", "coeffs"])
+        rows.writerows([i, j, " ".join(map(str, c))] for i, j, c in cells)
+        pieces = reference.getvalue().splitlines(keepends=True)
+    longest = max(map(len, pieces))
+    assert max(map(len, writer.writes)) <= longest
+    assert "".join(writer.writes) == "".join(pieces)
+
+
 class CountingWriter(io.TextIOBase):
     """stdout stand-in that keeps only the number of characters written."""
 

@@ -1,6 +1,6 @@
 import random
 from bisect import bisect_left, bisect_right
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -113,6 +113,8 @@ def test_contains_pattern_examples():
     # must test all letters so far, the smallest included.
     assert not contains_pattern((4, 6, 3, 1, 3, 5, 4, 5), (1, 0, 3, 2, 4))
     assert not contains_pattern((4, 1, 2, 3, 0, 1, 2, 3), (0, 4, 1, 2, 3))
+    # The sixth letter's level must test the third letter too.
+    assert not contains_pattern((0, 1, 5, 2, 3, 4), (0, 1, 2, 5, 3, 4))
     # More letters than one compiled function nests loops for: the later
     # letters' loops run in the functions it calls.
     word = tuple(range(17))
@@ -120,6 +122,25 @@ def test_contains_pattern_examples():
     assert not contains_pattern(word + (15,), word + (16,))
     assert contains_pattern(range(40), range(0, 80, 2))
     assert not contains_pattern(range(39), range(40))
+    assert not contains_pattern(range(39, -1, -1), range(40))
+
+
+def test_permutations_contain_only_themselves_exhaustively():
+    # Every pair of permutations of 0..5 as word and pattern: a permutation
+    # holds a pattern of its own length only when the two are equal.  The
+    # sixth letter's level tests the whole pattern and alone decides a
+    # match, so a test there that leaves out any letter admits a wrong pair.
+    perms = list(permutations(range(6)))
+    for pattern in perms:
+        found = [word for word in perms if contains_pattern(word, pattern)]
+        assert found == [pattern], pattern
+
+
+def test_too_few_values_are_answered_without_a_search():
+    # Two values cannot hold 300 letters: no search is compiled for that.
+    matching._restricted.cache_clear()
+    assert not contains_pattern((1, 2), range(300))
+    assert matching._restricted.cache_info().misses == 0
 
 
 def _naive_contains(seq, pattern):
