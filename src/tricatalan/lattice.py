@@ -163,6 +163,15 @@ def catalan3_coeff(n: int, k: int) -> int:
     """Refinement of the 3-Catalan numbers: C(n-1+k, n-1) * C(2n-k, n+1) / n.
 
     Equals the coefficient of x^k in lattice_poly(2n, n) for 0 <= k <= n-1.
+
+    The formula follows from the even-tree grammar, with q marking the
+    r-index, by Lagrange inversion.  Its series satisfy P = F*G,
+    P = 1/((1 - zP)(1 - qzP)) and F = 1/(1 - zP).  Put W = zP: then
+    W = z*phi(W) with phi(w) = 1/((1 - w)(1 - qw)), and F = 1/(1 - W), so
+    [z^n]F = (1/n) [w^(n-1)] (1 - w)^-2 phi(w)^n
+           = (1/n) [w^(n-1)] (1 - w)^-(n+2) (1 - qw)^-n
+           = (1/n) sum_k C(2n-k, n+1) C(n-1+k, n-1) q^k,
+    taking q^k from (1 - qw)^-n and w^(n-1-k) from (1 - w)^-(n+2).
     """
     if n < 1:
         raise ValueError("n must be positive")

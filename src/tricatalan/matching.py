@@ -33,16 +33,18 @@ to explain a rejection.
 
 enumerate_matchings is a deliberately naive brute force, so that it can
 serve as an independent oracle for the bijection.  It makes one flat pass
-per choice of covered points: it pairs them depth first on an explicit
-stack, skipping every edge that breaks the class condition, writes each
-complete pairing's completed sequence in the same loop, and tests it with
-the generic matcher contains_pattern, which assigns increasing values to
-the pattern's letters one at a time and drops a partial assignment as soon
-as it cannot spell a subsequence.  That search is compiled from source
+per choice of covered points, drawn from the window the class rule leaves
+them: it pairs them depth first on an explicit stack, skipping every edge
+that breaks the class condition, writes each complete pairing's completed
+sequence in the same loop, and tests it with the search of the generic
+matcher contains_pattern, which assigns increasing values to the
+pattern's letters one at a time and drops a partial assignment as soon
+as it cannot spell a subsequence.  That search, one nested for loop per
+letter, each testing its cut-down pattern inline, is compiled from source
 text once per pattern, on the pattern's first call, and kept in a memo
-bounded to a few patterns (_restricted), so the oracle's calls, all with
-FORBIDDEN_PATTERN, share one compiled search: one nested for loop per
-letter, each testing its cut-down pattern inline.  The source is built
+bounded to a few patterns (_restricted); the oracle fetches the one for
+FORBIDDEN_PATTERN once per call and hands it each candidate directly,
+with the candidate's labels 1..points - edge_count.  The source is built
 from the letters' ranks alone, never from the values of the pattern or
 the word, so no input becomes code; tests/test_matching.py checks the
 compiled search against a naive matcher and a backtracker.  The oracle
@@ -56,7 +58,9 @@ _edge_violation, which admissibility_violation applies with its messages.
 test_pruned_pairings_are_the_admissible_pairings_in_order
 (tests/test_matching.py) pins the oracle's pruning to
 admissibility_violation for every covered set with m <= 10, so the two
-copies of the rule cannot drift apart.
+copies of the rule cannot drift apart, and
+test_covered_points_lie_in_the_oracle_window checks the window on every
+admissible matching with m <= 10.
 
 path_to_matching checks each step inside its fold loop and raises
 parse_path's error for the first bad one, so a path is read once.
@@ -374,28 +378,43 @@ def _sequence(m: int, edges: Sequence[tuple[int, int]]) -> tuple[int, ...]:
 def enumerate_matchings(points: int, edge_count: int) -> list[PartialMatching]:
     """Brute-force oracle: all admissible, pattern-avoiding matchings.
 
-    One flat pass per choice of 2*edge_count covered points.  A prefix count
-    of the isolated points gives each edge's class test its counts by two
-    subtractions.  The pairings are built depth first on an explicit stack,
-    the smallest free point paired with each later free point in turn, and
-    an edge that breaks the class condition (a condition on each edge alone)
-    is skipped with every pairing containing it.  Each complete pairing's
-    completed sequence is written in the same loop, labels in order of first
-    occurrence and then the isolated labels reversed, and the candidate is
-    kept when contains_pattern finds no 1,2,3,1,2 in it; order is
-    lexicographic on the sorted edge list.  Every pairing built here is
-    sorted, disjoint and inside 1..points, so the results are wrapped
-    without the constructor's checks.
+    One flat pass per choice of 2*edge_count covered points, drawn from the
+    window 1..size + (free + 1) // 2 that the class rule leaves them, where
+    size = 2*edge_count and free = points - size.  With B(p) the number of
+    isolated points before p, an admissible edge (a, b) has B(b) <= B(a) + 1
+    (at most one isolated point inside) and B(a) <= free - B(b) (no more
+    before than after), so 2*B(b) - 1 <= free.  The last covered point z
+    closes an edge and has B(z) = z - size, hence z <= size + (free + 1) // 2.
+    Every cell with an edge and at most 12 points has a member whose last
+    covered point is exactly there, so no narrower window is safe; for
+    points <= 10 the window cuts the covered sets from 1,024 to 282.
+
+    A prefix count of the isolated points gives each edge's class test its
+    counts by two subtractions.  The pairings are built depth first on an
+    explicit stack, the smallest free point paired with each later free
+    point in turn, and an edge that breaks the class condition (a condition
+    on each edge alone) is skipped with every pairing containing it.  Each
+    complete pairing's completed sequence is written in the same loop,
+    labels in order of first occurrence and then the isolated labels
+    reversed, and the candidate is kept when the compiled search of
+    contains_pattern finds no 1,2,3,1,2 in it.  That search is called
+    directly: its labels are exactly 1..points - edge_count, one per
+    isolated point and one per edge, so contains_pattern's normalisation
+    would only rebuild that list.  Order is lexicographic on the sorted edge
+    list.  Every pairing built here is sorted, disjoint and inside
+    1..points, so the results are wrapped without the constructor's checks.
     """
     if points < 0 or edge_count < 0 or 2 * edge_count > points:
         raise ValueError(f"need 0 <= 2*{edge_count} <= {points}")
     size = 2 * edge_count
     free_count = points - size
+    search = _restricted(FORBIDDEN_PATTERN)
+    values = list(range(1, points - edge_count + 1))  # sorted(set(seq)) of every seq
     kept: list[tuple[tuple[int, int], ...]] = []
     left_of = [0] * (points + 1)  # left_of[b]: the left end of the edge at b, or 0
     label = [0] * (points + 1)  # label[p]: the label opened at p
     line = range(1, points + 1)
-    for chosen in combinations(line, size):
+    for chosen in combinations(range(1, size + (free_count + 1) // 2 + 1), size):
         covered = set(chosen)
         before = [0] * (points + 1)  # before[p]: isolated points left of p
         isolated: list[int] = []
@@ -437,7 +456,7 @@ def enumerate_matchings(points: int, edge_count: int) -> list[PartialMatching]:
                         label[p] = count
                         seq.append(count)
                 seq += [label[p] for p in isolated]
-                if not contains_pattern(seq, FORBIDDEN_PATTERN):
+                if not search(seq, values):
                     kept.append(tuple([(chosen[u], chosen[v]) for u, v in taken]))
             if not taken:
                 break

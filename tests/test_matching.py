@@ -318,16 +318,24 @@ def _unpruned_pairings(points):
 
 
 def test_pruned_pairings_are_the_admissible_pairings_in_order(monkeypatch):
-    # The oracle hands contains_pattern the completed sequence of each
+    # The oracle hands the compiled search the completed sequence of each
     # pairing that survives its pruning, in the order it builds them; the
-    # completed sequence determines the pairing.  Record them, keep all.
+    # completed sequence determines the pairing.  Record them, keep all,
+    # and check that the search gets the pattern and the values that
+    # contains_pattern would give it.
     seen = []
 
-    def record(seq, pattern):
-        seen.append(tuple(seq))
-        return False
+    def restricted(pattern):
+        assert pattern == FORBIDDEN_PATTERN
 
-    monkeypatch.setattr(matching, "contains_pattern", record)
+        def record(seq, values):
+            assert list(values) == sorted(set(seq))
+            seen.append(tuple(seq))
+            return False
+
+        return record
+
+    monkeypatch.setattr(matching, "_restricted", restricted)
     for m in range(11):
         for size in range(0, m + 1, 2):
             want = [
@@ -340,6 +348,29 @@ def test_pruned_pairings_are_the_admissible_pairings_in_order(monkeypatch):
             got = enumerate_matchings(m, size // 2)
             assert seen == [completed_sequence(PartialMatching(m, e)) for e in want]
             assert [pm.edges for pm in got] == sorted(want)
+
+
+def test_covered_points_lie_in_the_oracle_window():
+    # The oracle draws covered points from 1..size + (free + 1) // 2: no
+    # covered point of an admissible matching has more than (free + 1) // 2
+    # isolated points before it.  Every cell with an edge reaches that
+    # bound with a pattern-avoiding member, so no narrower window is safe.
+    for m in range(11):
+        for size in range(2, m + 1, 2):
+            free = m - size
+            top = top_kept = 0
+            for chosen in combinations(range(1, m + 1), size):
+                for edges in _unpruned_pairings(list(chosen)):
+                    pm = PartialMatching(m, edges)
+                    if matching.admissibility_violation(pm) is not None:
+                        continue
+                    # The last covered point has the most isolated points before it.
+                    before = chosen[-1] - size
+                    top = max(top, before)
+                    if not contains_pattern(completed_sequence(pm), FORBIDDEN_PATTERN):
+                        top_kept = max(top_kept, before)
+            assert top <= (free + 1) // 2, (m, size)
+            assert top_kept == (free + 1) // 2, (m, size)
 
 
 def _pairwise_crossings(pm):
