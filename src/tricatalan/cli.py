@@ -22,6 +22,9 @@ from .errors import DomainError, ParseError
 
 # The text grid holds every cell at once; json and csv stream any size.
 TEXT_TABLE_MAX_I = 200
+# map refolds a matching point by point; larger ones are refused before
+# that work starts.  The library functions take any size.
+MAP_MAX_POINTS = 10**6
 
 MAP_KINDS = (
     "path-to-matching",
@@ -93,11 +96,19 @@ def _tree_arg(value: str) -> eventree.EvenTree:
     return eventree.tree_from_json(obj)
 
 
-def _json_arg(value: str) -> object:
+def _matching_arg(value: str) -> matching.PartialMatching:
+    """Matching JSON with at most MAP_MAX_POINTS points; reading it costs
+    O(edges), so a larger point count is refused before any O(m) work."""
     try:
-        return _decode(value)
+        obj = _decode(value)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}") from exc
+    m = matching.matching_from_json(obj)
+    if m.m > MAP_MAX_POINTS:
+        raise DomainError(
+            f"map is limited to matchings of m <= {MAP_MAX_POINTS} points"
+        )
+    return m
 
 
 def _coeff_digits(coeffs: tuple[int, ...]) -> list[str]:
@@ -173,7 +184,7 @@ def cmd_map(args: argparse.Namespace) -> int:
         result = matching.path_to_matching(_path_arg(value))
         print(_compact(matching.matching_to_json(result)))
     elif kind == "matching-to-path":
-        path = matching.matching_to_path(matching.matching_from_json(_json_arg(value)))
+        path = matching.matching_to_path(_matching_arg(value))
         print(_compact(path) if args.format == "json" else path)
     elif kind == "tree-to-path":
         path = eventree.tree_to_path(_tree_arg(value))
@@ -182,7 +193,7 @@ def cmd_map(args: argparse.Namespace) -> int:
         if kind == "path-to-tree":
             path = _path_arg(value)
         else:  # matching-to-tree, composed through the path
-            path = matching.matching_to_path(matching.matching_from_json(_json_arg(value)))
+            path = matching.matching_to_path(_matching_arg(value))
         tree = eventree.path_to_tree(path)
         print(_tree_json(tree) if args.format == "json" else eventree.paren(tree))
     return 0
@@ -296,7 +307,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("--format", choices=("text", "json", "csv"), default="text")
     p_table.set_defaults(func=cmd_table)
 
-    p_map = sub.add_parser("map", help="apply a bijection to one object")
+    p_map = sub.add_parser(
+        "map",
+        help="apply a bijection to one object",
+        description=(
+            "Apply one bijection to one encoded object.  matching-to-path and"
+            " matching-to-tree take matchings of at most"
+            f" {MAP_MAX_POINTS} points."
+        ),
+    )
     p_map.add_argument("kind", choices=MAP_KINDS)
     p_map.add_argument("value", help="encoded object, or - to read stdin")
     p_map.add_argument("--format", choices=("text", "json"), default="json")

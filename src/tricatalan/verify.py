@@ -10,12 +10,16 @@ while a check runs is that check's witness, so one crashing route fails its
 check and the report is still complete.
 
 Every table value a check reads comes from one shared pass of the column
-DP over columns 0..2*max_n, so a run computes the DP once.  The pass keeps
-every cell with i <= min(2*max_n, PATH_ORACLE_MAX_I), which the path
-oracle and the matching class counts read, and L(2n, n), L(2n, n-1) and
-the sum of column 2n-1 for each n.  It is read only as far as a check
-needs: the first check reads the kept cells' columns, and the closed-form
-checks read on to column 2*max_n.  The four closed-form identities scale
+DP over columns 0..2*max_n, so a run computes the DP once.  The pass is a
+generator (_dp_pass) that keeps every cell with i <= min(2*max_n,
+PATH_ORACLE_MAX_I), which the path oracle and the matching class counts
+read, and L(2n, n), L(2n, n-1) and the sum of column 2n-1 for each n.  Two
+build-once readers (_once) take it only as far as a check needs: cells()
+stops at the kept cells' last column, and corners(), which the closed-form
+checks read, goes on to column 2*max_n.  The pass and the matching table
+are each built once, on first read inside a check; a build that fails
+runs once too, and its exception, raised again to every reader, is the
+witness of every check that reads it.  The four closed-form identities scale
 with the requested max_n and compare those with a second route (a binomial
 formula, the closed form, or another cell); the tree counts read L(2n, n).
 The brute-force families are capped at fixed desk scales
@@ -103,55 +107,49 @@ def _check_path_oracle(max_i: int, paths: Paths, cells: Cells) -> Witnesses:
             yield f"(i,j)=({i},{j}): enumeration gives {got}, table gives {want}"
 
 
-class _DPPass:
-    """One lazy pass of the column DP over columns 0..2*max_n, read as far as
-    a check needs it: cells() reads through column max_i and corners() on to
-    the end, so the first check does not wait for the whole pass.  Apart
-    from the cells it keeps, those with i <= max_i, the pass holds two
-    columns at a time.  The pass starts on first read, inside a check, and
-    an exception it raises is raised again to every later reader."""
-
-    def __init__(self, max_n: int, max_i: int) -> None:
-        self._last = 2 * max_n
-        self._max_i = max_i
-        self._columns: Iterator[list[tuple[int, ...]]] | None = None
-        self._read = 0  # the columns read so far
-        self._error: Exception | None = None
-        self._column_sum = Poly.zero()
-        self._cells: dict[tuple[int, int], Poly] = {}
-        self._corners: list[tuple[Poly, Poly, Poly]] = []
-
-    def cells(self) -> dict[tuple[int, int], Poly]:
-        self._read_through(self._max_i)
-        return self._cells
-
-    def corners(self) -> list[tuple[Poly, Poly, Poly]]:
-        self._read_through(self._last)
-        return self._corners
-
-    def _read_through(self, last: int) -> None:
-        if self._error is not None:
-            raise self._error
-        try:
-            if self._columns is None:
-                self._columns = lattice.lattice_columns(self._last)
-            while self._read <= last:
-                self._keep(self._read, next(self._columns))
-                self._read += 1
-        except Exception as exc:
-            self._error = exc
-            raise
-
-    def _keep(self, i: int, column: list[tuple[int, ...]]) -> None:
-        if i <= self._max_i:
+def _dp_pass(max_n: int, max_i: int) -> Iterator:
+    """One pass of the column DP over columns 0..2*max_n, yielding twice: the
+    cells with i <= max_i once column max_i is read, so the first check does
+    not wait for the whole pass, and (L(2n, n), L(2n, n-1), sum of column
+    2n-1) for n = 1..max_n when the pass ends.  Apart from the kept cells,
+    it holds two columns at a time."""
+    cells: dict[tuple[int, int], Poly] = {}
+    corners: list[tuple[Poly, Poly, Poly]] = []
+    column_sum = Poly.zero()
+    for i, column in enumerate(lattice.lattice_columns(2 * max_n)):
+        if i <= max_i:
             for j, coeffs in enumerate(column):
-                self._cells[i, j] = Poly._trusted(coeffs)
+                cells[i, j] = Poly._trusted(coeffs)
         if i % 2:
-            self._column_sum = Poly(map(sum, zip_longest(*column, fillvalue=0)))
+            sums = map(sum, zip_longest(*column, fillvalue=0))
+            column_sum = Poly._trusted(tuple(sums))
         elif i:
             n = i // 2
             on_line, below = Poly._trusted(column[n]), Poly._trusted(column[n - 1])
-            self._corners.append((on_line, below, self._column_sum))
+            corners.append((on_line, below, column_sum))
+        if i == max_i:
+            yield cells
+    yield corners
+
+
+def _once(build: Callable) -> Callable:
+    """A reader that runs build on its first call and gives every call the
+    value built, or raises again the exception that the build raised."""
+
+    @cache
+    def outcome() -> tuple:
+        try:
+            return build(), None
+        except Exception as exc:
+            return None, exc
+
+    def read():
+        value, error = outcome()
+        if error is not None:
+            raise error
+        return value
+
+    return read
 
 
 def _check_coeff_formula(corners: Corners) -> Witnesses:
@@ -356,18 +354,28 @@ def _checks(max_n: int, seed: int) -> list[tuple[str, str, Witnesses]]:
     count_n = min(max_n, TREE_COUNT_MAX_N)
     bijection_n = min(max_n, TREE_BIJECTION_MAX_N)
 
-    # Each built on first use inside a check, so an exception while building
-    # is the witness of every check that reads it; those checks share one
-    # successful build.  The cached values are shared and never mutated.
+    # Each built on first use inside a check, and shared by the checks that
+    # read it; the values built are never mutated.  The DP pass and the
+    # matching table are read through _once, so a failing build runs once
+    # and its exception is the witness of every check that reads it.  The
+    # pass is one generator with two readers: cells() stops it at column
+    # path_i, and corners() reads on to column 2*max_n.  Paths are cached
+    # per cell.
     paths = cache(lattice.enumerate_paths)
-    dp = _DPPass(max_n, path_i)
+    dp = _dp_pass(max_n, path_i)
+    cells = _once(lambda: next(dp))
 
-    @cache
-    def table() -> dict:
-        return {
+    def read_corners() -> list[tuple[Poly, Poly, Poly]]:
+        cells()
+        return next(dp)
+
+    corners = _once(read_corners)
+    table = _once(
+        lambda: {
             (i, j): matching.enumerate_matchings(i, j)
             for i, j in _valid_positions(matching_i)
         }
+    )
 
     crossings_of: dict[matching.PartialMatching, int] = {}  # member -> crossings
 
@@ -377,16 +385,16 @@ def _checks(max_n: int, seed: int) -> list[tuple[str, str, Witnesses]]:
         (
             "path-enumeration-vs-table",
             f"i <= {path_i}",
-            _check_path_oracle(path_i, paths, dp.cells),
+            _check_path_oracle(path_i, paths, cells),
         ),
-        ("corner-coefficient-formula", closed, _check_coeff_formula(dp.corners)),
-        ("descent-closed-form", closed, _check_descent(dp.corners)),
-        ("odd-column-row-sum", closed, _check_row_sum(dp.corners)),
-        ("on-line-collapse", closed, _check_collapse(dp.corners)),
+        ("corner-coefficient-formula", closed, _check_coeff_formula(corners)),
+        ("descent-closed-form", closed, _check_descent(corners)),
+        ("odd-column-row-sum", closed, _check_row_sum(corners)),
+        ("on-line-collapse", closed, _check_collapse(corners)),
         (
             "matching-class-counts",
             matchings,
-            _check_matching_counts(table, dp.cells, crossings_of),
+            _check_matching_counts(table, cells, crossings_of),
         ),
         (
             "matching-bijection",
@@ -396,7 +404,7 @@ def _checks(max_n: int, seed: int) -> list[tuple[str, str, Witnesses]]:
         (
             "even-tree-counts",
             f"n = 1..{count_n}",
-            _check_tree_counts(count_n, dp.corners),
+            _check_tree_counts(count_n, corners),
         ),
         (
             "even-tree-bijection",

@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -624,6 +625,24 @@ def test_map_matching_to_path_on_a_long_matching(capsys):
          "--format", "text"],
     )
     assert code == 0 and out == path + "\n"
+
+
+@pytest.mark.parametrize("kind", ["matching-to-path", "matching-to-tree"])
+@pytest.mark.parametrize("points", [cli.MAP_MAX_POINTS + 1, 10**20 - 1])
+def test_map_refuses_matchings_past_the_point_limit(capsys, kind, points):
+    started = time.perf_counter()
+    value = json.dumps({"m": points, "edges": []})
+    code, out, err = run(capsys, ["map", kind, value])
+    assert code == 3 and out == ""
+    assert f"m <= {cli.MAP_MAX_POINTS} points" in err
+    # Refused before the refold, whose work grows with the point count.
+    assert time.perf_counter() - started < 1
+
+
+def test_map_help_states_the_point_limit(capsys):
+    with pytest.raises(SystemExit):
+        cli.main(["map", "--help"])
+    assert f"at most {cli.MAP_MAX_POINTS} points" in capsys.readouterr().out
 
 
 def test_table_negative_max_i_exits_2(capsys):

@@ -120,8 +120,10 @@ def test_exception_while_enumerating_matchings_fails_both_matching_checks(
     capsys, monkeypatch
 ):
     real = matching.enumerate_matchings
+    calls = []
 
     def crashing(points, edge_count):
+        calls.append((points, edge_count))
         if (points, edge_count) == (4, 2):
             raise DomainError("injected")
         return real(points, edge_count)
@@ -136,6 +138,9 @@ def test_exception_while_enumerating_matchings_fails_both_matching_checks(
         for name in ("matching-class-counts", "matching-bijection")
     ]
     assert lines[-1] == "overall: FAIL"
+    # The table is built once per run: its failing build is not run again
+    # for the second check that reads it.
+    assert calls.count((4, 2)) == 1
 
 
 def test_verify_help_states_the_caps(capsys, monkeypatch):
