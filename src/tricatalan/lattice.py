@@ -162,7 +162,10 @@ def catalan3(n: int) -> int:
 def catalan3_coeff(n: int, k: int) -> int:
     """Refinement of the 3-Catalan numbers: C(n-1+k, n-1) * C(2n-k, n+1) / n.
 
-    Equals the coefficient of x^k in lattice_poly(2n, n) for 0 <= k <= n-1.
+    Equals the coefficient of x^k in lattice_poly(2n, n) for 0 <= k <= n-1,
+    and is the same formula as descent_poly(n + 1)'s coefficient, typed
+    separately; verify's corner-coefficient-formula and descent-closed-form
+    checks therefore compare the table's corners with one formula twice.
 
     The formula follows from the even-tree grammar, with q marking the
     r-index, by Lagrange inversion.  Its series satisfy P = F*G,
@@ -186,7 +189,10 @@ def descent_poly(n: int) -> Poly:
     """Closed binomial formula for the on-line weight distribution.
 
     descent_poly(n) has coefficient C(n-2+k, n-2) * C(2n-2-k, n) / (n - 1)
-    at x^k for 0 <= k <= n-2; it equals lattice_poly(2(n-1), n-1).
+    at x^k for 0 <= k <= n-2; it equals lattice_poly(2(n-1), n-1).  That
+    coefficient is catalan3_coeff(n - 1, k), the same formula transcribed
+    twice, so descent-closed-form and corner-coefficient-formula in verify
+    are one closed form read twice, not two.
     """
     if n < 2:
         raise ValueError("n must be at least 2")

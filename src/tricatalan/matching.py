@@ -26,7 +26,10 @@ and close A: the arc-diagram reading of crossings in Chen, Deng, Du,
 Stanley and Yan, "Crossings and nestings of matchings and partitions"
 (Trans. AMS, 2007), and in Jelinek, "Dyck paths and pattern-avoiding
 matchings" (Electron. J. Combin., 2007).  contains_forbidden tests that
-criterion with one sweep over the arcs.  matching_to_path does not need it
+criterion in one left-to-right scan that keeps the openers of the open
+arcs on a stack: when an arc closes, only the first two arcs opened after
+it and still open can matter, so each close either leaves from the last
+two places or completes the pattern.  matching_to_path does not need it
 to decide membership: it refolds the matching with the same lift rule
 (_lift_positions, inlined in its loop) and calls contains_forbidden only
 to explain a rejection.
@@ -49,7 +52,7 @@ from the letters' ranks alone, never from the values of the pattern or
 the word, so no input becomes code; tests/test_matching.py checks the
 compiled search against a naive matcher and a backtracker.  The oracle
 shares no code with shift/lift,
-_lift_positions, the folds or the arc sweep, and takes no shortcut through
+_lift_positions, the folds or the arc scan, and takes no shortcut through
 the arc criterion: nothing in it knows which pair a lift joins, so its
 agreement with the fold's images checks the bijection rather than
 restating it.  Each edge's counts come from a prefix count of the isolated
@@ -164,7 +167,7 @@ def contains_forbidden(matching: PartialMatching) -> bool:
     crossing edge would.  Since every label of that form occurs twice, this
     holds iff two arcs A, B cross (open A < open B < close A < close B) and
     some arc opens strictly between open B and close A (Chen, Deng, Du,
-    Stanley and Yan 2007; Jelinek 2007), which is decided in O(m log m).
+    Stanley and Yan 2007; Jelinek 2007), which is decided in O(m).
     """
     return _crossing_pair_with_opener_inside(matching.m, matching.edges)
 
@@ -172,41 +175,32 @@ def contains_forbidden(matching: PartialMatching) -> bool:
 def _crossing_pair_with_opener_inside(
     m: int, edges: Sequence[tuple[int, int]]
 ) -> bool:
-    """The arc criterion of contains_forbidden, by one sweep over the openers.
+    """The arc criterion of contains_forbidden, by one left-to-right scan.
 
-    Openers are the isolated points and left endpoints; the isolated point
-    opening the t-th arc from the right closes virtually at m + t, as in
-    completed_sequence.  For each arc B, a crossing A with an opener inside
-    (open B, close A) exists iff some arc opened before B closes strictly
-    between the next opener after B and close B.  A Fenwick tree over close
-    positions counts the closes of the arcs opened so far.
+    opened holds, in order, the openers of the arcs still open: left ends
+    not yet closed, and every isolated point, whose virtual close comes
+    after m, in reverse order, when nothing else is open, so it never
+    matters.  latest is the last opener passed.  When the arc A opened at a
+    closes, the arcs crossing it are the entries after a, and the first of
+    them, B, has an opener strictly inside (open B, close A) exactly when
+    another entry follows B or latest is past B.  So A completes the
+    pattern unless a is the last entry, or the second to last with latest
+    the last; then a leaves from one of the last two places, in O(1).
     """
-    close_of = dict(edges)
-    right = set(close_of.values())
-    openers = [p for p in range(1, m + 1) if p not in right]
-    closes = []
-    virtual = m
-    for p in reversed(openers):
-        if p not in close_of:
-            virtual += 1
-        closes.append(close_of.get(p, virtual))
-    closes.reverse()
-    tree = [0] * (virtual + 1)
-
-    def closed_up_to(pos: int) -> int:
-        total = 0
-        while pos > 0:
-            total += tree[pos]
-            pos &= pos - 1
-        return total
-
-    for nxt, close_b in zip(openers[1:], closes):
-        if closed_up_to(close_b - 1) > closed_up_to(nxt):
+    left_of = {b: a for a, b in edges}
+    opened: list[int] = []
+    latest = 0
+    for p in range(1, m + 1):
+        a = left_of.get(p)
+        if a is None:
+            opened.append(p)
+            latest = p
+        elif opened[-1] == a:
+            opened.pop()
+        elif opened[-2:] == [a, latest]:
+            del opened[-2]
+        else:
             return True
-        pos = close_b
-        while pos <= virtual:
-            tree[pos] += 1
-            pos += pos & -pos
     return False
 
 
@@ -303,8 +297,10 @@ def crossings(matching: PartialMatching) -> int:
     costs one bisection and one deletion from opened, whose shift moves only
     the entries after a.  A seeded 10^5-step path or the staircase
     E^(2k) N^k with k = 10^5 takes under 0.1 s, and k = 4*10^5 about 0.4 s
-    (Python 3.11, one CPU); comparing every pair of edges took 2.7 s at
-    20,000 east steps.
+    (Python 3.11, one CPU).  The worst case is n pairwise crossing edges
+    (i, n + i), whose deletions shift O(n^2) list entries: 1.0 s at
+    n = 10^5 and 3.7-4.1 s at n = 2*10^5 (Python 3.11, Xeon, 2 CPUs).  No
+    CLI path counts the crossings of an arbitrary matching.
     """
     mate = [0] * (matching.m + 1)  # mate[p]: b at a left end a, -a at a right end b
     for a, b in matching.edges:

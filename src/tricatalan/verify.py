@@ -21,7 +21,9 @@ are each built once, on first read inside a check; a build that fails
 runs once too, and its exception, raised again to every reader, is the
 witness of every check that reads it.  The four closed-form identities scale
 with the requested max_n and compare those with a second route (a binomial
-formula, the closed form, or another cell); the tree counts read L(2n, n).
+formula, the closed form, or another cell); the binomial formula
+(lattice.catalan3_coeff) and the closed form (lattice.descent_poly) are
+the same expression typed twice.  The tree counts read L(2n, n).
 The brute-force families are capped at fixed desk scales
 (they grow super-exponentially), and every check reports the range it
 actually ran.  Each path is enumerated once per run and shared by the
@@ -318,8 +320,10 @@ def _check_random_shift_lift(seed: int) -> Witnesses:
         if matching.crossings(matching.shift(loose)) != matching.crossings(loose):
             yield f"shift changed crossings on {matching.matching_to_json(loose)}"
         # The lift deltas are claims about generated (in-class) states, so
-        # sample those by folding a random valid path.
-        member = matching.path_to_matching(_random_path(rng, 12))
+        # sample those by folding a random valid path.  Its east-step count
+        # sets the parity of the isolated count, so it is drawn per sample:
+        # a fixed count would test only one of the two lifts.
+        member = matching.path_to_matching(_random_path(rng, rng.randrange(2, 13)))
         before = matching.crossings(member)
         iso = len(member.isolated())
         if iso >= 2:

@@ -213,6 +213,13 @@ def test_map_parse_errors_exit_2(capsys):
     assert code == 2
     code, _, err = run(capsys, ["map", "matching-to-path", '{"m":2,"edges":[[2,2]]}'])
     assert code == 2
+    # Valid JSON of the wrong shape is a parse error too.
+    assert run(capsys, ["map", "path-to-matching", "5"]) == (
+        2, "", "error: a path must be a string over the alphabet {E,N}\n"
+    )
+    assert run(capsys, ["map", "matching-to-path", '{"m": 3, "edges": 5}']) == (
+        2, "", "error: edges 5 are not a sequence of pairs\n"
+    )
     with pytest.raises(SystemExit) as exit_info:
         cli.main(["map", "path-to-matching", "EEN", "--format", "csv"])
     assert exit_info.value.code == 2 and "invalid choice" in capsys.readouterr().err
@@ -294,6 +301,9 @@ def test_enum_bounds_violations_exit_2(capsys):
     assert run(capsys, ["enum", "trees", "--edges", "3"])[0] == 2
     assert run(capsys, ["enum", "matchings", "--i", "4"])[0] == 2
     assert run(capsys, ["enum", "paths", "--i", "-1", "--j", "0"])[0] == 2
+    assert run(capsys, ["enum", "paths", "--i", "3"])[0] == 2
+    assert run(capsys, ["enum", "matchings", "--i", "3", "--j", "2"])[0] == 2
+    assert run(capsys, ["enum", "trees"])[0] == 2
 
 
 def test_enum_csv(capsys):
@@ -303,6 +313,12 @@ def test_enum_csv(capsys):
     rows = list(csv.reader(io.StringIO(out)))
     assert rows[0] == ["m", "edges"]
     assert rows[1] == ["4", "[[1,2]]"]
+    assert run(
+        capsys, ["enum", "paths", "--i", "4", "--j", "1", "--format", "csv"]
+    ) == (0, "path\nEEEEN\nEEENE\nEENEE\n", "")
+    assert run(capsys, ["enum", "trees", "--edges", "4", "--format", "csv"]) == (
+        0, "tree\n(()())()\n()(()())\n()()()()\n", ""
+    )
 
 
 def test_table_text_contains_goldens(capsys):

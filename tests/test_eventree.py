@@ -138,6 +138,8 @@ def test_lift_unavailable():
         tree_lift(EvenTree(CHERRY), 3, 0)  # dotted state mismatch
     with pytest.raises(DomainError, match="lift unavailable"):
         tree_lift(EvenTree(CHERRY), 4, 0)  # edge count mismatch
+    with pytest.raises(DomainError, match="lift unavailable: root degree below four"):
+        tree_lift(EvenTree((CHERRY, LEAF)), 4, 0)
 
 
 def test_fold_long_trace():

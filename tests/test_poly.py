@@ -15,6 +15,9 @@ def test_add_examples():
     # Sums are built without the constructor, so they must trim themselves.
     assert (Poly((1, 2)) + Poly((0, -2))).coeffs == (1,)
     assert (Poly((1,)) + Poly((-1,))).coeffs == ()
+    # Only a Poly adds to a Poly; an int is not read as a constant.
+    with pytest.raises(TypeError):
+        Poly((1,)) + 1
 
 
 def test_eq_canonicalizes_trailing_zeros():

@@ -32,17 +32,23 @@ def reversed_path(path):
     return path[::-1]
 
 
-def bump_cell(i, j):
-    """A corruption of streamed lattice_columns that adds 1 to L(i, j)."""
+def edit_cell(i, j, edit):
+    """A corruption of streamed lattice_columns that replaces the
+    coefficients c of L(i, j) by edit(c)."""
 
     def wrong(columns):
         for k, column in enumerate(columns):
             if k == i:
                 column = list(column)
-                column[j] = (column[j][0] + 1, *column[j][1:])
+                column[j] = edit(column[j])
             yield column
 
     return wrong
+
+
+def bump_cell(i, j):
+    """Adds 1 to L(i, j)."""
+    return edit_cell(i, j, lambda c: (c[0] + 1, *c[1:]))
 
 
 EEENEN_MATCHING = matching.PartialMatching(4, ((1, 3), (2, 4)))
@@ -80,6 +86,51 @@ FAULTS = {
 }
 
 
+# The witnesses that FAULTS does not reach, each fired by one corruption:
+# (check, module, function, arguments to corrupt, corruption, witness).
+WITNESS_FAULTS = [
+    (
+        "corner-coefficient-formula", lattice, "catalan3", (2,), plus_one,
+        "n=2: coefficient sum 3 != 4",
+    ),
+    (
+        "corner-coefficient-formula", lattice, "lattice_columns", (4,),
+        edit_cell(4, 2, lambda c: (*c, 1)), "n=2: table degree 2 != 1",
+    ),
+    (
+        "matching-bijection", matching, "enumerate_matchings", (4, 2),
+        lambda members: members[1:],
+        "(i,j)=(4,2): images differ from the enumerated family",
+    ),
+    (
+        "matching-bijection", matching, "path_to_matching", ("EEENE",),
+        lambda _: matching.path_to_matching("EEEEN"),
+        "(i,j)=(4,1): duplicate images under path folding",
+    ),
+    (
+        "even-tree-bijection", eventree, "path_to_tree", ("EENE",),
+        lambda _: eventree.path_to_tree("EEEN"),
+        "(i,j)=(3,1): duplicate intermediate trees",
+    ),
+    # With three isolated points lift joins 1 and 3 over 2, one crossing;
+    # the corruption joins 1 and 2 instead, as the even lift would.
+    (
+        "shift-lift-crossing-deltas", matching, "lift",
+        (matching.path_to_matching("EEE"),),
+        lambda _: matching.PartialMatching(3, ((1, 2),)),
+        "lift changed crossings by 0 (expected 1)",
+    ),
+]
+
+
+def failed_check(monkeypatch, check, module, name, target, wrong):
+    """The result of check in run_verify(2) with the corruption in place."""
+    corrupt(monkeypatch, module, name, target, wrong)
+    report = verify.run_verify(2)
+    assert not report.overall
+    return next(c for c in report.checks if c.name == check)
+
+
 def test_every_check_has_a_fault():
     assert set(FAULTS) == {c.name for c in verify.run_verify(1).checks}
 
@@ -87,12 +138,20 @@ def test_every_check_has_a_fault():
 @pytest.mark.parametrize("check", FAULTS)
 def test_fault_injection_fails_the_check(monkeypatch, check):
     module, name, target, wrong, where = FAULTS[check]
-    corrupt(monkeypatch, module, name, target, wrong)
-    report = verify.run_verify(2)
-    result = next(c for c in report.checks if c.name == check)
+    result = failed_check(monkeypatch, check, module, name, target, wrong)
     assert not result.passed
     assert where in result.detail
-    assert not report.overall
+
+
+@pytest.mark.parametrize(
+    "check, module, name, target, wrong, witness",
+    WITNESS_FAULTS,
+    ids=[fault[2] for fault in WITNESS_FAULTS],
+)
+def test_each_witness_fires(monkeypatch, check, module, name, target, wrong, witness):
+    result = failed_check(monkeypatch, check, module, name, target, wrong)
+    assert not result.passed
+    assert result.detail.startswith(witness)
 
 
 def test_exception_in_checked_code_is_the_witness(capsys, monkeypatch):
@@ -193,10 +252,11 @@ def test_verify_counts_each_members_crossings_once(monkeypatch):
         assert result.passed
         seen[result.name] = counts["crossings"]
     # The class counts take the 1,255 members' crossings and the bijection
-    # reads them back; the shift-lift check makes 4 calls per sample.
+    # reads them back.  The shift-lift check makes 3 calls per sample and
+    # one more for each sample with a lift: 158 of the 200 at seed 0.
     assert seen["matching-class-counts"] == 1255
     assert seen["matching-bijection"] == 1255
-    assert counts["crossings"] == 1255 + 4 * verify.RANDOM_TRIALS
+    assert counts["crossings"] == 1255 + 3 * verify.RANDOM_TRIALS + 158
 
 
 def test_verify_enumerates_each_path_cell_once(monkeypatch):
