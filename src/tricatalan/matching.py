@@ -38,16 +38,19 @@ enumerate_matchings is a deliberately naive brute force, so that it can
 serve as an independent oracle for the bijection.  It makes one flat pass
 per choice of covered points, drawn from the window the class rule leaves
 them: it pairs them depth first on an explicit stack, skipping every edge
-that breaks the class condition, writes each complete pairing's completed
-sequence in the same loop, and tests it with the search of the generic
-matcher contains_pattern, which assigns increasing values to the
-pattern's letters one at a time and drops a partial assignment as soon
-as it cannot spell a subsequence.  That search, one nested for loop per
-letter, each testing its cut-down pattern inline, is compiled from source
-text once per pattern, on the pattern's first call, and kept in a memo
-bounded to a few patterns (_restricted); the oracle fetches the one for
+that breaks the class condition.  It keeps one word labelled by opener
+position and edits in place only the entries of the edge it takes or
+drops, so each complete pairing's word, followed by its isolated points
+in reverse, is an order-isomorphic copy of its completed sequence.  It
+tests that copy with the search of the generic matcher contains_pattern,
+which assigns increasing values to the pattern's letters one at a time
+and drops a partial assignment as soon as it cannot spell a subsequence.
+That search, one nested for loop per letter, each testing its cut-down
+pattern inline, is compiled from source text once per pattern, on the
+pattern's first call, and kept in a memo bounded to a few patterns
+(_restricted); the oracle fetches the one for
 FORBIDDEN_PATTERN once per call and hands it each candidate directly,
-with the candidate's labels 1..points - edge_count.  The source is built
+with the candidate's opener positions as the values.  The source is built
 from the letters' ranks alone, never from the values of the pattern or
 the word, so no input becomes code; tests/test_matching.py checks the
 compiled search against a naive matcher and a backtracker.  The oracle
@@ -74,7 +77,7 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from collections.abc import Callable, Sequence
 from functools import lru_cache
-from itertools import chain, combinations
+from itertools import chain, combinations, compress
 
 from .errors import NOT_IN_IMAGE, DomainError, ParseError
 from .frozen import Frozen
@@ -389,14 +392,17 @@ def enumerate_matchings(points: int, edge_count: int) -> list[PartialMatching]:
     counts by two subtractions.  The pairings are built depth first on an
     explicit stack, the smallest free point paired with each later free
     point in turn, and an edge that breaks the class condition (a condition
-    on each edge alone) is skipped with every pairing containing it.  Each
-    complete pairing's completed sequence is written in the same loop,
-    labels in order of first occurrence and then the isolated labels
-    reversed, and the candidate is kept when the compiled search of
-    contains_pattern finds no 1,2,3,1,2 in it.  That search is called
-    directly: its labels are exactly 1..points - edge_count, one per
-    isolated point and one per edge, so contains_pattern's normalisation
-    would only rebuild that list.  Order is lexicographic on the sorted edge
+    on each edge alone) is skipped with every pairing containing it.  One
+    word, labelled by opener position, is kept for every candidate: a at
+    the right end of each edge (a, b) taken and p at every other point p,
+    with one opener flag per point; taking or dropping an edge rewrites
+    only its right end's two entries.  The word followed by the isolated
+    points in reverse (the order of their virtual closes) is order-isomorphic
+    to the completed sequence, its labels in order of first occurrence
+    renamed to the points that open them, so the compiled search of
+    contains_pattern gives the same answer on it, with the opener positions
+    as its sorted distinct values; the candidate is kept when it finds no
+    1,2,3,1,2.  Order is lexicographic on the sorted edge
     list.  Every pairing built here is sorted, disjoint and inside
     1..points, so the results are wrapped without the constructor's checks.
     """
@@ -405,11 +411,12 @@ def enumerate_matchings(points: int, edge_count: int) -> list[PartialMatching]:
     size = 2 * edge_count
     free_count = points - size
     search = _restricted(FORBIDDEN_PATTERN)
-    values = list(range(1, points - edge_count + 1))  # sorted(set(seq)) of every seq
     kept: list[tuple[tuple[int, int], ...]] = []
-    left_of = [0] * (points + 1)  # left_of[b]: the left end of the edge at b, or 0
-    label = [0] * (points + 1)  # label[p]: the label opened at p
     line = range(1, points + 1)
+    # word[p - 1]: the opener of the arc at p, a at the right end of an
+    # edge (a, b) taken and p everywhere else; opener[p - 1]: p opens one.
+    word = list(line)
+    opener = [True] * points
     for chosen in combinations(range(1, size + (free_count + 1) // 2 + 1), size):
         covered = set(chosen)
         before = [0] * (points + 1)  # before[p]: isolated points left of p
@@ -436,29 +443,23 @@ def enumerate_matchings(points: int, edge_count: int) -> list[PartialMatching]:
                     continue
                 used[s] = used[t] = True
                 taken.append((s, t))
-                left_of[b] = a
+                word[b - 1] = a
+                opener[b - 1] = False
                 if len(taken) < edge_count:
                     s = used.index(False, s + 1)
                     t = s + 1
                 continue
-            if len(taken) == edge_count:
-                seq = []
-                count = 0
-                for p in line:
-                    if left_of[p]:
-                        seq.append(label[left_of[p]])
-                    else:
-                        count += 1
-                        label[p] = count
-                        seq.append(count)
-                seq += [label[p] for p in isolated]
-                if not search(seq, values):
-                    kept.append(tuple([(chosen[u], chosen[v]) for u, v in taken]))
+            if len(taken) == edge_count and not search(
+                word + isolated, list(compress(line, opener))
+            ):
+                kept.append(tuple([(chosen[u], chosen[v]) for u, v in taken]))
             if not taken:
                 break
             s, t = taken.pop()
             used[s] = used[t] = False
-            left_of[chosen[t]] = 0
+            b = chosen[t]
+            word[b - 1] = b
+            opener[b - 1] = True
             t += 1
     kept.sort()
     return [PartialMatching._trusted(points, edges) for edges in kept]

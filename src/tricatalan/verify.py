@@ -26,17 +26,21 @@ formula, the closed form, or another cell); the binomial formula
 the same expression typed twice.  The tree counts read L(2n, n).
 The brute-force families are capped at fixed desk scales
 (they grow super-exponentially), and every check reports the range it
-actually ran.  Each path is enumerated once per run and shared by the
-checks that read it; the bijection checks fold every path once and unfold
-every image once, so no object goes through a bijection twice.  The
-class-count check records each matching member's crossings, and the
-matching bijection reads them back, so each member is counted once per run.
+actually ran.  Each family is a map from each object to its statistic,
+built once per run on its first read and shared by the checks that read
+it: paths(i, j) maps each path to its weight exponent, trees(n) each even
+tree with 2n edges to its r-index, and the matching table each cell's
+members to their crossings.  The counting checks take the histogram of a
+map's values, and the bijection checks fold every path once and unfold
+every image once, reading both statistics from the maps, so each object's
+statistic is computed once per run and no object goes through a bijection
+twice.  No check writes state that another check reads.
 """
 
 from __future__ import annotations
 
 import random
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator
 from functools import cache
 from itertools import zip_longest
 
@@ -51,8 +55,12 @@ TREE_BIJECTION_MAX_N = 7
 RANDOM_TRIALS = 200
 
 Witnesses = Iterator[str]
-# (i, j) -> every path to (i, j), enumerated once per run.
-Paths = Callable[[int, int], list[str]]
+# (i, j) -> {path: weight exponent} for every path to (i, j).
+Paths = Callable[[int, int], dict[str, int]]
+# n -> {tree: r-index} for every even tree with 2n edges.
+Trees = Callable[[int], dict[eventree.EvenTree, int]]
+# () -> {(i, j): {member: crossings}} for every cell with i <= the matching cap.
+Table = Callable[[], dict[tuple[int, int], dict[matching.PartialMatching, int]]]
 # () -> {(i, j): L(i, j)} for every cell with i <= the path oracle's cap.
 Cells = Callable[[], dict[tuple[int, int], Poly]]
 # () -> (L(2n, n), L(2n, n-1), sum of column 2n-1) for n = 1..max_n.
@@ -100,10 +108,20 @@ def _show_tree(t: eventree.EvenTree) -> str:
     return f"tree {eventree.paren(t)}"
 
 
+def _family(objects: Iterable, statistic: Callable) -> dict:
+    """{object: statistic(object)} over an enumerated family.  A family that
+    lists an object twice would lose the repeat in the map, so it raises."""
+    objects = list(objects)
+    family = {obj: statistic(obj) for obj in objects}
+    if len(family) != len(objects):
+        raise ValueError("an object is enumerated twice")
+    return family
+
+
 def _check_path_oracle(max_i: int, paths: Paths, cells: Cells) -> Witnesses:
     dp_cells = cells()
     for i, j in _valid_positions(max_i):
-        got = histogram_poly(map(lattice.weight_exponent, paths(i, j)))
+        got = histogram_poly(paths(i, j).values())
         want = dp_cells[i, j]
         if got != want:
             yield f"(i,j)=({i},{j}): enumeration gives {got}, table gives {want}"
@@ -189,16 +207,10 @@ def _check_collapse(corners: Corners) -> Witnesses:
             yield f"n={n}: L(2n,n)={on_line} != L(2n,n-1)={below}"
 
 
-def _check_matching_counts(
-    table: Callable[[], dict], cells: Cells, crossings_of: dict
-) -> Witnesses:
-    """Also records each member's crossings in crossings_of, for the
-    bijection check to read back."""
+def _check_matching_counts(table: Table, cells: Cells) -> Witnesses:
     dp_cells = cells()
     for (i, j), members in table().items():
-        values = [matching.crossings(m) for m in members]
-        crossings_of.update(zip(members, values))
-        got = histogram_poly(values)
+        got = histogram_poly(members.values())
         want = dp_cells[i, j]
         if got != want:
             yield f"(i,j)=({i},{j}): class polynomial {got} != table {want}"
@@ -206,8 +218,8 @@ def _check_matching_counts(
 
 def _bijection(
     where: str,
-    paths: Sequence[str],
-    members: Sequence,
+    paths: dict[str, int],
+    members: dict,
     fold: Callable,
     unfold: Callable,
     statistic: Callable,
@@ -215,6 +227,8 @@ def _bijection(
 ) -> Witnesses:
     """Witnesses against fold being a bijection from paths onto members that
     carries the weight exponent to statistic, with unfold as its inverse.
+    paths maps each path to its weight exponent and members each member to
+    its statistic; statistic is computed only for an image that is no member.
 
     Each path is folded once and each image unfolded once.  The other
     roundtrip, fold(unfold(member)) == member, is not run: with the images
@@ -225,28 +239,18 @@ def _bijection(
     image_set = set(images)
     if len(image_set) != len(images):
         yield f"{where}: duplicate images under path folding"
-    for p, image in zip(paths, images):
-        if statistic(image) != lattice.weight_exponent(p):
+    for (p, weight), image in zip(paths.items(), images):
+        value = members.get(image)
+        if (statistic(image) if value is None else value) != weight:
             yield f"path {p!r}: the statistic of {show(image)} != weight exponent"
-    if image_set != set(members):
+    if image_set != members.keys():
         yield f"{where}: images differ from the enumerated family"
     for p, image in zip(paths, images):
         if unfold(image) != p:
             yield f"path {p!r}: unfolding {show(image)} does not give the path back"
 
 
-def _check_matching_bijection(
-    table: Callable[[], dict], paths: Paths, crossings_of: dict
-) -> Witnesses:
-    """The statistic reads each image's crossings from crossings_of, which
-    the class-count check fills for every member it reaches; only an image
-    missing from it is counted here, and an image that is no member fails
-    the "images differ" witness anyway."""
-
-    def statistic(image: matching.PartialMatching) -> int:
-        value = crossings_of.get(image)
-        return matching.crossings(image) if value is None else value
-
+def _check_matching_bijection(table: Table, paths: Paths) -> Witnesses:
     for (i, j), members in table().items():
         yield from _bijection(
             f"(i,j)=({i},{j})",
@@ -254,25 +258,25 @@ def _check_matching_bijection(
             members,
             matching.path_to_matching,
             matching.matching_to_path,
-            statistic,
+            matching.crossings,
             _show_matching,
         )
 
 
-def _check_tree_counts(max_n: int, corners: Corners) -> Witnesses:
+def _check_tree_counts(max_n: int, trees: Trees, corners: Corners) -> Witnesses:
     for n in range(1, max_n + 1):
-        got = eventree.r_index_poly(n)
+        got = histogram_poly(trees(n).values())
         want = corners()[n - 1][0]
         if got != want:
             yield f"n={n}: r-index polynomial {got} != table {want}"
 
 
-def _check_tree_bijection(max_n: int, paths: Paths) -> Witnesses:
+def _check_tree_bijection(max_n: int, paths: Paths, trees: Trees) -> Witnesses:
     for n in range(1, max_n + 1):
         yield from _bijection(
             f"n={n}",
             paths(2 * n, n),
-            eventree.enumerate_even_trees(2 * n),
+            trees(n),
             eventree.path_to_tree,
             eventree.tree_to_path,
             eventree.r_index,
@@ -359,13 +363,19 @@ def _checks(max_n: int, seed: int) -> list[tuple[str, str, Witnesses]]:
     bijection_n = min(max_n, TREE_BIJECTION_MAX_N)
 
     # Each built on first use inside a check, and shared by the checks that
-    # read it; the values built are never mutated.  The DP pass and the
-    # matching table are read through _once, so a failing build runs once
-    # and its exception is the witness of every check that reads it.  The
-    # pass is one generator with two readers: cells() stops it at column
-    # path_i, and corners() reads on to column 2*max_n.  Paths are cached
-    # per cell.
-    paths = cache(lattice.enumerate_paths)
+    # read it; the values built are never mutated, and live only as long as
+    # the run.  The DP pass and the matching table are read through _once,
+    # so a failing build runs once and its exception is the witness of every
+    # check that reads it.  The pass is one generator with two readers:
+    # cells() stops it at column path_i, and corners() reads on to column
+    # 2*max_n.  Each family maps its objects to their statistic: paths per
+    # cell, trees per edge count, and the matching table per cell.
+    paths = cache(
+        lambda i, j: _family(lattice.enumerate_paths(i, j), lattice.weight_exponent)
+    )
+    trees = cache(
+        lambda n: _family(eventree.enumerate_even_trees(2 * n), eventree.r_index)
+    )
     dp = _dp_pass(max_n, path_i)
     cells = _once(lambda: next(dp))
 
@@ -376,12 +386,10 @@ def _checks(max_n: int, seed: int) -> list[tuple[str, str, Witnesses]]:
     corners = _once(read_corners)
     table = _once(
         lambda: {
-            (i, j): matching.enumerate_matchings(i, j)
+            (i, j): _family(matching.enumerate_matchings(i, j), matching.crossings)
             for i, j in _valid_positions(matching_i)
         }
     )
-
-    crossings_of: dict[matching.PartialMatching, int] = {}  # member -> crossings
 
     closed = f"n = 1..{max_n}"
     matchings = f"i <= {matching_i}"
@@ -398,22 +406,22 @@ def _checks(max_n: int, seed: int) -> list[tuple[str, str, Witnesses]]:
         (
             "matching-class-counts",
             matchings,
-            _check_matching_counts(table, cells, crossings_of),
+            _check_matching_counts(table, cells),
         ),
         (
             "matching-bijection",
             matchings,
-            _check_matching_bijection(table, paths, crossings_of),
+            _check_matching_bijection(table, paths),
         ),
         (
             "even-tree-counts",
             f"n = 1..{count_n}",
-            _check_tree_counts(count_n, corners),
+            _check_tree_counts(count_n, trees, corners),
         ),
         (
             "even-tree-bijection",
             f"n = 1..{bijection_n}",
-            _check_tree_bijection(bijection_n, paths),
+            _check_tree_bijection(bijection_n, paths, trees),
         ),
         (
             "shift-lift-crossing-deltas",

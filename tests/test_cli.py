@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import hashlib
 import io
@@ -10,6 +11,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tricatalan
 from tricatalan import cli, eventree, lattice, matching
@@ -99,6 +102,43 @@ def test_verify_report_bytes_unchanged(capsys, fmt):
     code, out, _ = run(capsys, argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_2_SHA256[fmt]
+
+
+# sha256 of a passing `verify --max-n 5` report at seeds 0 and 7: at this
+# size every brute-force family reaches cells past the smallest ones.
+VERIFY_5_SHA256 = {
+    (0, "text"): "05d11d88c57c53533f7d75702fb6c498bf610af8b9281afd8d54228e2d027aa9",
+    (0, "json"): "570bdb16915873ce23b8c90d677bf3bb8d3b2f29ddb8907b54d8f4a57e890237",
+    (0, "csv"): "c77a93a09ce09202b166d4c7a698ff812e5bfbb4603992b4aa402b47a2e00c2d",
+    (7, "text"): "7f8221f55831c62257bf144c41c48cc424dd74cc51ef9aabb6feaf6da30824dd",
+    (7, "json"): "b97841e08468b5af3436e19c106abdab977e64327837564726a5dc0d5c48dcd0",
+    (7, "csv"): "8a7acd5df267dbc4c958ac895b454815fcdb0dad159e2e93095681eece7dc4e6",
+}
+
+
+@pytest.mark.parametrize("seed, fmt", sorted(VERIFY_5_SHA256))
+def test_verify_report_bytes_unchanged_at_max_n_5(capsys, seed, fmt):
+    argv = ["verify", "--max-n", "5", "--seed", str(seed), "--format", fmt]
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_5_SHA256[seed, fmt]
+
+
+@pytest.mark.parametrize("max_n", [cli.VERIFY_MAX_N + 1, 10**9])
+def test_verify_refuses_max_n_past_the_limit(capsys, max_n):
+    started = time.perf_counter()
+    code, out, err = run(capsys, ["verify", "--max-n", str(max_n)])
+    assert code == 3 and out == ""
+    assert f"--max-n <= {cli.VERIFY_MAX_N}" in err
+    # Refused before the DP pass, whose work grows with max_n.
+    assert time.perf_counter() - started < 1
+
+
+def test_verify_help_states_the_max_n_limit(capsys):
+    with pytest.raises(SystemExit):
+        cli.main(["verify", "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    assert f"--max-n is at most {cli.VERIFY_MAX_N}" in text
 
 
 class FlushedOnly(io.StringIO):
@@ -675,3 +715,111 @@ def test_unknown_command_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["frobnicate"])
     assert exc.value.code == 2
+
+
+# Option values for the CLI fuzz: each stays small enough that no case can
+# start an unbounded enumeration, or is refused (exit 2 or 3) before any.
+_MISTYPED = st.text(max_size=12).filter(lambda v: v != "-")  # "-" reads stdin
+_SMALL = st.integers(-3, 10).map(str)
+_HUGE = st.integers(10**9, 10**30).map(str)
+_LONG_DIGITS = st.integers(5000, 6000).map(lambda n: "9" * n)
+_DEPTH = st.integers(1, 5 * 10**4)
+
+
+def _mostly(values, typo=_MISTYPED):
+    """values, or about one time in ten typo."""
+    return st.sampled_from(range(10)).flatmap(lambda k: typo if k == 9 else values)
+
+
+def _option(name, values):
+    """[name, value], or about one time in ten nothing."""
+    return _mostly(values.map(lambda v: [name, v]), st.just([]))
+
+
+_FORMAT = _mostly(st.sampled_from(["text", "json", "csv"]))
+
+
+@st.composite
+def _table_argv(draw):
+    fmt = draw(_FORMAT)
+    # Only the text grid refuses a large --max-i; json and csv stream any size.
+    big = [_HUGE] if fmt == "text" else []
+    max_i = draw(_option("--max-i", _mostly(st.one_of(_SMALL, *big))))
+    return ["table", *max_i, "--format", fmt]
+
+
+@st.composite
+def _enum_argv(draw):
+    family = draw(_mostly(st.sampled_from(["paths", "matchings", "trees"])))
+    # A huge --j leaves no cell below the line and a huge negative count no
+    # family; any other large size would enumerate without end.
+    i = draw(_option("--i", _mostly(_SMALL)))
+    j = draw(_option("--j", _mostly(st.one_of(_SMALL, _SMALL, _HUGE))))
+    edges = _mostly(st.one_of(_SMALL, _HUGE.map(lambda v: f"-{v}")), _LONG_DIGITS)
+    edges = draw(_option("--edges", edges))
+    return ["enum", family, *i, *j, *edges, "--format", draw(_FORMAT)]
+
+
+def _matching_text(m, depth):
+    return json.dumps({"m": m, "edges": json.loads("[" * depth + "]" * depth)})
+
+
+@st.composite
+def _map_argv(draw):
+    kind = draw(_mostly(st.sampled_from(cli.MAP_KINDS)))
+    depth = draw(_DEPTH)
+    value = draw(
+        _mostly(
+            st.sampled_from(
+                [
+                    "[" * depth + "]" * depth,
+                    "(" * depth + ")" * depth,
+                    "(" * depth + ")" * (depth - 1),
+                    '"' + "E" * depth + "N" * (depth // 2) + '"',
+                    "E" * (2 * depth) + "N" * depth,
+                    "E" * depth + "N" * depth,
+                    '{"m": %s, "edges": []}' % ("9" * (depth % 6000 + 1)),
+                    '{"dotted": false, "root": ' + "[" * depth + "]" * depth + "}",
+                    '{"dotted": 1, "root": []}',
+                    _matching_text(depth % 40, 1),
+                    _matching_text(depth % 40, 2),
+                    _matching_text(depth * 10**20, 1),
+                    json.dumps({"m": 4, "edges": [[1, 3], [2, 4]]}),
+                    json.dumps({"m": 6, "edges": [[1, 4], [2, 5], [3, 6]]}),
+                    json.dumps({"m": 3, "edges": [[True, 2]]}),
+                ]
+            )
+        )
+    )
+    return ["map", kind, value, *draw(_option("--format", _FORMAT))]
+
+
+@st.composite
+def _verify_argv(draw):
+    # --max-n up to 2 runs every check; past the limit it is refused.
+    max_n = _mostly(st.one_of(st.integers(-3, 2).map(str), _HUGE), _LONG_DIGITS)
+    return [
+        "verify",
+        *draw(_option("--max-n", max_n)),
+        *draw(_option("--seed", _mostly(st.one_of(_SMALL, _HUGE)))),
+        *draw(_option("--format", _FORMAT)),
+    ]
+
+
+@pytest.mark.parametrize(
+    "argvs", [_table_argv(), _enum_argv(), _map_argv(), _verify_argv()],
+    ids=["table", "enum", "map", "verify"],
+)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_cli_maps_hostile_arguments_onto_the_exit_codes(argvs, data):
+    argv = data.draw(argvs) + data.draw(
+        _mostly(st.just([]), st.sampled_from([["--bogus"], ["--format"], ["x"]]))
+    )
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+    assert code in {0, 2, 3}, (argv, err.getvalue())

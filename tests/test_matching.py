@@ -318,11 +318,12 @@ def _unpruned_pairings(points):
 
 
 def test_pruned_pairings_are_the_admissible_pairings_in_order(monkeypatch):
-    # The oracle hands the compiled search the completed sequence of each
-    # pairing that survives its pruning, in the order it builds them; the
-    # completed sequence determines the pairing.  Record them, keep all,
-    # and check that the search gets the pattern and the values that
-    # contains_pattern would give it.
+    # The oracle hands the compiled search a copy of the completed sequence
+    # of each pairing that survives its pruning, in the order it builds
+    # them, labelled by opener position; relabelled by first occurrence it
+    # is the completed sequence, which determines the pairing.  Record
+    # them, keep all, and check that the search gets the pattern and the
+    # values that contains_pattern would give it.
     seen = []
 
     def restricted(pattern):
@@ -330,7 +331,8 @@ def test_pruned_pairings_are_the_admissible_pairings_in_order(monkeypatch):
 
         def record(seq, values):
             assert list(values) == sorted(set(seq))
-            seen.append(tuple(seq))
+            labels = {}
+            seen.append(tuple(labels.setdefault(v, len(labels) + 1) for v in seq))
             return False
 
         return record

@@ -52,6 +52,7 @@ def bump_cell(i, j):
 
 
 EEENEN_MATCHING = matching.PartialMatching(4, ((1, 3), (2, 4)))
+EEEENN_TREE = eventree.path_to_tree("EEEENN")  # 4 edges, in the family for n = 2
 # The first sample the shift-lift check draws at seed 0, after one shift.
 FIRST_SHIFTED = matching.shift(verify._random_matching(random.Random(0), 12))
 
@@ -74,10 +75,9 @@ FAULTS = {
         matching, "matching_to_path", (EEENEN_MATCHING,), reversed_path,
         "path 'EEENEN'",
     ),
-    "even-tree-counts": (eventree, "r_index_poly", (2,), plus_one_poly, "n=2"),
+    "even-tree-counts": (eventree, "r_index", (EEEENN_TREE,), plus_one, "n=2"),
     "even-tree-bijection": (
-        eventree, "tree_to_path", (eventree.path_to_tree("EEEENN"),), reversed_path,
-        "path 'EEEENN'",
+        eventree, "tree_to_path", (EEEENN_TREE,), reversed_path, "path 'EEEENN'"
     ),
     "shift-lift-crossing-deltas": (
         matching, "crossings", (FIRST_SHIFTED,), plus_one,
@@ -106,6 +106,13 @@ WITNESS_FAULTS = [
         "matching-bijection", matching, "path_to_matching", ("EEENE",),
         lambda _: matching.path_to_matching("EEEEN"),
         "(i,j)=(4,1): duplicate images under path folding",
+    ),
+    # A family that lists an object twice fails the checks that read it,
+    # though its map of objects to statistics holds each object once.
+    (
+        "path-enumeration-vs-table", lattice, "enumerate_paths", (3, 1),
+        lambda paths: [*paths, paths[0]],
+        "raised ValueError: an object is enumerated twice",
     ),
     (
         "even-tree-bijection", eventree, "path_to_tree", ("EENE",),
@@ -251,12 +258,35 @@ def test_verify_counts_each_members_crossings_once(monkeypatch):
     for result in verify.iter_verify(5):
         assert result.passed
         seen[result.name] = counts["crossings"]
-    # The class counts take the 1,255 members' crossings and the bijection
-    # reads them back.  The shift-lift check makes 3 calls per sample and
-    # one more for each sample with a lift: 158 of the 200 at seed 0.
+    # The matching table's build takes the 1,255 members' crossings, on the
+    # class counts' first read, and the bijection reads them from it.  The
+    # shift-lift check makes 3 calls per sample and one more for each
+    # sample with a lift: 158 of the 200 at seed 0.
     assert seen["matching-class-counts"] == 1255
     assert seen["matching-bijection"] == 1255
     assert counts["crossings"] == 1255 + 3 * verify.RANDOM_TRIALS + 158
+
+
+def test_verify_computes_each_objects_statistic_once(monkeypatch):
+    counts = counting(
+        monkeypatch,
+        (lattice, "weight_exponent"),
+        (eventree, "r_index"),
+        (eventree, "enumerate_even_trees"),
+        (matching, "crossings"),
+    )
+    assert verify.run_verify(5).overall
+    # Each family maps its objects to their statistic, built once per run:
+    # the 1,255 paths with i <= 10 are weighed once for the path oracle and
+    # both bijections, and the 344 trees with 2n <= 10 edges are enumerated
+    # once per n and indexed once for the counts and the bijection.  The
+    # crossings are the 1,255 members' plus the shift-lift check's.
+    assert counts == {
+        "weight_exponent": 1255,
+        "r_index": 344,
+        "enumerate_even_trees": 5,
+        "crossings": 1255 + 3 * verify.RANDOM_TRIALS + 158,
+    }
 
 
 def test_verify_enumerates_each_path_cell_once(monkeypatch):
