@@ -42,23 +42,19 @@ that breaks the class condition.  It keeps one word labelled by opener
 position and edits in place only the entries of the edge it takes or
 drops, so each complete pairing's word, followed by its isolated points
 in reverse, is an order-isomorphic copy of its completed sequence.  It
-tests that copy with the search of the generic matcher contains_pattern,
-which assigns increasing values to the pattern's letters one at a time
-and drops a partial assignment as soon as it cannot spell a subsequence.
-That search, one nested for loop per letter, each testing its cut-down
-pattern inline, is compiled from source text once per pattern, on the
-pattern's first call, and kept in a memo bounded to a few patterns
-(_restricted); the oracle fetches the one for
-FORBIDDEN_PATTERN once per call and hands it each candidate directly,
-with the candidate's opener positions as the values.  The source is built
-from the letters' ranks alone, never from the values of the pattern or
-the word, so no input becomes code; tests/test_matching.py checks the
-compiled search against a naive matcher and a backtracker.  The oracle
-shares no code with shift/lift,
-_lift_positions, the folds or the arc scan, and takes no shortcut through
-the arc criterion: nothing in it knows which pair a lift joins, so its
-agreement with the fold's images checks the bijection rather than
-restating it.  Each edge's counts come from a prefix count of the isolated
+tests that copy with _contains_12312, the search of the generic matcher
+contains_pattern written out for FORBIDDEN_PATTERN: contains_pattern
+assigns increasing values to the pattern's letters one at a time and drops
+a partial assignment as soon as it cannot spell a subsequence, and
+_contains_12312 does the same with one nested for loop for each of the
+three letters, each testing its cut-down pattern inline.  The oracle hands
+it each candidate directly, with the candidate's opener positions as the
+values; tests/test_matching.py checks it against contains_pattern, a
+naive matcher and a backtracker.  The oracle shares no code with
+shift/lift, _lift_positions, the folds or the arc scan, and takes no
+shortcut through the arc criterion: nothing in it knows which pair a lift
+joins, so its agreement with the fold's images checks the bijection rather
+than restating it.  Each edge's counts come from a prefix count of the isolated
 points, and the class rule is tested inline by the two comparisons of
 _edge_violation, which admissibility_violation applies with its messages.
 test_pruned_pairings_are_the_admissible_pairings_in_order
@@ -75,8 +71,7 @@ parse_path's error for the first bad one, so a path is read once.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from collections.abc import Callable, Sequence
-from functools import lru_cache
+from collections.abc import Sequence
 from itertools import chain, combinations, compress
 
 from .errors import NOT_IN_IMAGE, DomainError, ParseError
@@ -218,75 +213,71 @@ def contains_pattern(seq: Sequence[int], pattern: Sequence[int]) -> bool:
     order, one at a time, each a larger value than the last; a partial
     assignment is abandoned as soon as the pattern cut down to the letters
     assigned so far does not spell a subsequence of seq, which every full
-    match would, so pruning rejects no match.  That search is compiled once
-    per pattern by _restricted.  A seq with fewer distinct values than the
-    pattern has letters is answered False without compiling any search.
+    match would, so pruning rejects no match.  Each value tried costs one
+    walk of the pattern and at most one of seq, on a single iterator, and
+    nothing is kept between calls.  A seq with fewer distinct values than
+    the pattern has letters leaves no value for the first letter and is
+    answered False before any test.
     """
     seq = tuple(seq)
     pattern = tuple(pattern)
-    values = sorted(set(seq))
-    # len(pattern) bounds the letter count, so the letters are counted only
-    # for a word with fewer values than the pattern has places.
-    if len(values) < len(pattern) and len(values) < len(set(pattern)):
-        return False
-    return _restricted(pattern)(seq, values)
-
-
-# Loop levels per compiled function: CPython refuses more than 20
-# statically nested blocks in one function.
-_LEVELS = 16
-
-
-@lru_cache(maxsize=8)
-def _restricted(pattern: tuple[int, ...]) -> Callable[[tuple, list], bool]:
-    """contains_pattern's search for one pattern, compiled: a function of
-    (seq, values), values being the sorted distinct values of seq.
-
-    Letter k is the pattern's k-th smallest value.  The search nests one
-    for loop per letter k, over the indexes of values above letter k-1's
-    that leave a value for each larger letter.  Each level tests at once,
-    inline, that the pattern cut down to letters 0..k spells a subsequence
-    of seq, as one chain `v0 not in rest or v1 not in rest ...` on a single
-    iterator over seq, and moves to letter k's next value when it does not.
-    The source holds only letter numbers, never pattern values.  A pattern
-    with more than _LEVELS letters continues its loops in a second function
-    called from the innermost level of the first, and so on.  The source
-    grows with the pattern's length times its letter count, so compiling
-    a pattern of a thousand distinct letters takes seconds; patterns of a
-    few letters, like FORBIDDEN_PATTERN, compile in well under a
-    millisecond.
-    """
     letters = sorted(set(pattern))
     rank_of = {letter: rank for rank, letter in enumerate(letters)}
-    ranks = [rank_of[p] for p in pattern]
+    ranks = [rank_of[p] for p in pattern]  # the pattern, 0 for its smallest letter
+    values = sorted(set(seq))
     need = len(letters)
-    source = ["def search0(seq, values):", f"    last = len(values) - {need}"]
-    for first in range(0, need or 1, _LEVELS):
-        stop = min(first + _LEVELS, need)
-        if first:
-            known = "".join(f", v{r}" for r in range(first))
-            source.append(f"def search{first}(seq, values, last, i{first - 1}{known}):")
-        pad = "    "
-        for k in range(first, stop):
-            test = " or ".join(f"v{r} not in rest" for r in ranks if r <= k)
-            source += [
-                f"{pad}for i{k} in range({f'i{k - 1} + 1' if k else 0}, last + {k + 1}):",
-                f"{pad}    v{k} = values[i{k}]",
-                f"{pad}    rest = iter(seq)",
-                f"{pad}    if {test}:",
-                f"{pad}        continue",
-            ]
-            pad += "    "
-        if stop == need:
-            source.append(f"{pad}return True")
+    spare = len(values) - need  # letter k takes at most values[k + spare]
+    value_of = [0] * need  # value_of[k]: the value given to the letter of rank k
+    tries = [0]  # tries[k]: index in values of the next value to give letter k
+    k = 0
+    while k < need:
+        t = tries[k]
+        if t > k + spare:  # no value left for letter k: back up one letter
+            if k == 0:
+                return False
+            tries.pop()
+            k -= 1
+            tries[k] += 1
+            continue
+        value_of[k] = values[t]
+        rest = iter(seq)
+        for r in ranks:
+            if r <= k and value_of[r] not in rest:
+                tries[k] = t + 1
+                break
         else:
-            known = "".join(f", v{r}" for r in range(stop))
-            source.append(f"{pad}if search{stop}(seq, values, last, i{stop - 1}{known}):")
-            source.append(f"{pad}    return True")
-        source.append("    return False")
-    namespace: dict[str, object] = {}
-    exec(compile("\n".join(source), "<contains_pattern>", "exec"), namespace)
-    return namespace["search0"]
+            tries.append(t + 1)
+            k += 1
+    return True
+
+
+def _contains_12312(seq: Sequence[int], values: Sequence[int]) -> bool:
+    """contains_pattern(seq, FORBIDDEN_PATTERN), given values, the sorted
+    distinct values of seq.
+
+    The same search with its three letters' loops written out: letters
+    1 < 2 < 3 take values v0 < v1 < v2 in turn, each leaving a value for
+    every larger letter, and each level moves to its letter's next value as
+    soon as the pattern cut down to the letters assigned so far (1,1, then
+    1,2,1,2, then 1,2,3,1,2) spells no subsequence of seq, tested as one
+    chain of `in` tests on a single iterator over seq.
+    """
+    last = len(values) - 3
+    for i0 in range(last + 1):
+        v0 = values[i0]
+        rest = iter(seq)
+        if v0 not in rest or v0 not in rest:
+            continue
+        for i1 in range(i0 + 1, last + 2):
+            v1 = values[i1]
+            rest = iter(seq)
+            if v0 not in rest or v1 not in rest or v0 not in rest or v1 not in rest:
+                continue
+            for v2 in values[i1 + 1 : last + 3]:
+                rest = iter(seq)
+                if v0 in rest and v1 in rest and v2 in rest and v0 in rest and v1 in rest:
+                    return True
+    return False
 
 
 def crossings(matching: PartialMatching) -> int:
@@ -399,18 +390,19 @@ def enumerate_matchings(points: int, edge_count: int) -> list[PartialMatching]:
     only its right end's two entries.  The word followed by the isolated
     points in reverse (the order of their virtual closes) is order-isomorphic
     to the completed sequence, its labels in order of first occurrence
-    renamed to the points that open them, so the compiled search of
-    contains_pattern gives the same answer on it, with the opener positions
-    as its sorted distinct values; the candidate is kept when it finds no
-    1,2,3,1,2.  Order is lexicographic on the sorted edge
-    list.  Every pairing built here is sorted, disjoint and inside
-    1..points, so the results are wrapped without the constructor's checks.
+    renamed to the points that open them, so _contains_12312, the search of
+    contains_pattern written out for FORBIDDEN_PATTERN, gives the same
+    answer on it, with the opener positions as its sorted distinct values;
+    the candidate is kept when it finds no 1,2,3,1,2.  Order is
+    lexicographic on the sorted edge list.  Every pairing built here is
+    sorted, disjoint and inside 1..points, so the results are wrapped
+    without the constructor's checks.
     """
     if points < 0 or edge_count < 0 or 2 * edge_count > points:
         raise ValueError(f"need 0 <= 2*{edge_count} <= {points}")
     size = 2 * edge_count
     free_count = points - size
-    search = _restricted(FORBIDDEN_PATTERN)
+    search = _contains_12312
     kept: list[tuple[tuple[int, int], ...]] = []
     line = range(1, points + 1)
     # word[p - 1]: the opener of the arc at p, a at the right end of an

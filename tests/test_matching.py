@@ -115,8 +115,7 @@ def test_contains_pattern_examples():
     assert not contains_pattern((4, 1, 2, 3, 0, 1, 2, 3), (0, 4, 1, 2, 3))
     # The sixth letter's level must test the third letter too.
     assert not contains_pattern((0, 1, 5, 2, 3, 4), (0, 1, 2, 5, 3, 4))
-    # More letters than one compiled function nests loops for: the later
-    # letters' loops run in the functions it calls.
+    # Patterns of many letters, each level testing every earlier letter.
     word = tuple(range(17))
     assert contains_pattern(word + (16,), word + (16,))
     assert not contains_pattern(word + (15,), word + (16,))
@@ -137,10 +136,12 @@ def test_permutations_contain_only_themselves_exhaustively():
 
 
 def test_too_few_values_are_answered_without_a_search():
-    # Two values cannot hold 300 letters: no search is compiled for that.
-    matching._restricted.cache_clear()
+    # Two values cannot hold 300 letters, nor 999 values 1,000.  A word
+    # that holds a pattern of 1,000 letters takes one value per letter,
+    # each tested once against the pattern cut down so far.
     assert not contains_pattern((1, 2), range(300))
-    assert matching._restricted.cache_info().misses == 0
+    assert contains_pattern(range(1000), range(1000))
+    assert not contains_pattern(range(999), range(1000))
 
 
 def _naive_contains(seq, pattern):
@@ -188,20 +189,16 @@ def test_pattern_engine_agrees_with_naive_matcher(case):
     assert contains_pattern(seq, pattern) == _naive_contains(tuple(seq), tuple(pattern))
 
 
-def test_prepared_patterns_stay_correct_past_the_memo_bound():
-    # Each pattern's ranks and cut-down forms are prepared once, behind a
-    # bounded memo; more distinct patterns than it holds, each called between
-    # two calls with FORBIDDEN_PATTERN, must still get their own answers.
-    bound = matching._restricted.cache_info().maxsize
+def test_patterns_interleaved_with_the_forbidden_one_get_their_own_answers():
+    # 27 patterns, each called between two calls with FORBIDDEN_PATTERN on
+    # the same word: no call may carry anything over to the next.
     patterns = list(product((1, 2, 3), repeat=3))
-    assert bound is not None and len(patterns) > bound
     rng = random.Random(3)
     for _ in range(30):
         seq = tuple(rng.randint(1, 5) for _ in range(rng.randint(0, 9)))
         for pattern in patterns:
             for p in (FORBIDDEN_PATTERN, pattern):
                 assert contains_pattern(seq, p) == _naive_contains(seq, p), (seq, p)
-    assert matching._restricted.cache_info().currsize <= bound
 
 
 def test_crossings_micro_values():
@@ -317,27 +314,26 @@ def _unpruned_pairings(points):
             yield ((points[0], points[t]),) + tail
 
 
+def _record_oracle_words(monkeypatch, calls):
+    """Make enumerate_matchings hand each candidate's word and values to
+    calls instead of its search, and keep every candidate."""
+
+    def record(seq, values):
+        calls.append((tuple(seq), list(values)))
+        return False
+
+    monkeypatch.setattr(matching, "_contains_12312", record)
+
+
 def test_pruned_pairings_are_the_admissible_pairings_in_order(monkeypatch):
-    # The oracle hands the compiled search a copy of the completed sequence
-    # of each pairing that survives its pruning, in the order it builds
-    # them, labelled by opener position; relabelled by first occurrence it
-    # is the completed sequence, which determines the pairing.  Record
-    # them, keep all, and check that the search gets the pattern and the
-    # values that contains_pattern would give it.
-    seen = []
-
-    def restricted(pattern):
-        assert pattern == FORBIDDEN_PATTERN
-
-        def record(seq, values):
-            assert list(values) == sorted(set(seq))
-            labels = {}
-            seen.append(tuple(labels.setdefault(v, len(labels) + 1) for v in seq))
-            return False
-
-        return record
-
-    monkeypatch.setattr(matching, "_restricted", restricted)
+    # The oracle hands its search a copy of the completed sequence of each
+    # pairing that survives its pruning, in the order it builds them,
+    # labelled by opener position; relabelled by first occurrence it is the
+    # completed sequence, which determines the pairing.  Record them, keep
+    # all, and check that the search gets the values that contains_pattern
+    # would give it.
+    calls = []
+    _record_oracle_words(monkeypatch, calls)
     for m in range(11):
         for size in range(0, m + 1, 2):
             want = [
@@ -346,10 +342,42 @@ def test_pruned_pairings_are_the_admissible_pairings_in_order(monkeypatch):
                 for edges in _unpruned_pairings(list(chosen))
                 if matching.admissibility_violation(PartialMatching(m, edges)) is None
             ]
-            seen.clear()
+            calls.clear()
             got = enumerate_matchings(m, size // 2)
+            seen = []
+            for seq, values in calls:
+                assert values == sorted(set(seq))
+                labels = {}
+                seen.append(tuple(labels.setdefault(v, len(labels) + 1) for v in seq))
             assert seen == [completed_sequence(PartialMatching(m, e)) for e in want]
             assert [pm.edges for pm in got] == sorted(want)
+
+
+def test_oracle_search_is_the_generic_matcher_on_the_forbidden_pattern(monkeypatch):
+    # The oracle's search is module code, visible to profilers and coverage.
+    search = matching._contains_12312
+    assert search.__code__.co_filename == matching.__file__
+    # Every word of length <= 7 over four values, the short ones also
+    # against the naive matcher.
+    words = [w for n in range(8) for w in product((1, 2, 3, 4), repeat=n)]
+    assert len(words) == 21845
+    hits = 0
+    for w in words:
+        want = contains_pattern(w, FORBIDDEN_PATTERN)
+        assert search(w, sorted(set(w))) == want, w
+        if len(w) <= 6:
+            assert _naive_contains(w, FORBIDDEN_PATTERN) == want, w
+        hits += want
+    assert hits == 871
+    # Every word the oracle searches for m <= 10.
+    calls = []
+    _record_oracle_words(monkeypatch, calls)
+    for m in range(11):
+        for size in range(0, m + 1, 2):
+            enumerate_matchings(m, size // 2)
+    assert calls
+    for seq, values in calls:
+        assert search(seq, values) == contains_pattern(seq, FORBIDDEN_PATTERN), seq
 
 
 def test_covered_points_lie_in_the_oracle_window():
