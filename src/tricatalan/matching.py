@@ -37,26 +37,30 @@ to explain a rejection.
 enumerate_matchings is a deliberately naive brute force, so that it can
 serve as an independent oracle for the bijection.  It makes one flat pass
 per choice of covered points, drawn from the window the class rule leaves
-them: it pairs them depth first on an explicit stack, skipping every edge
-that breaks the class condition.  It keeps one word labelled by opener
-position and edits in place only the entries of the edge it takes or
-drops, so each complete pairing's word, followed by its isolated points
-in reverse, is an order-isomorphic copy of its completed sequence.  It
-tests that copy with _contains_12312, the search of the generic matcher
+them: it lists each point's admissible partners once, pairs the points
+depth first on an explicit stack through those lists only, and so never
+takes an edge that breaks the class condition.  It keeps one word
+labelled by opener position, followed by the isolated points in reverse,
+and the sorted list of the word's values, and edits in place only the
+entries of the edge it takes or drops, so at each complete pairing the
+word is an order-isomorphic copy of its completed sequence.  It tests
+that copy with _contains_12312, the search of the generic matcher
 contains_pattern written out for FORBIDDEN_PATTERN: contains_pattern
 assigns increasing values to the pattern's letters one at a time and drops
 a partial assignment as soon as it cannot spell a subsequence, and
-_contains_12312 does the same with one nested for loop for each of the
-three letters, each testing its cut-down pattern inline.  The oracle hands
-it each candidate directly, with the candidate's opener positions as the
-values; tests/test_matching.py checks it against contains_pattern, a
+_contains_12312 assigns letters 1 and 2 by two nested for loops and gives
+letter 3, which occurs once in the pattern, the leftmost value that can
+follow them, in the same scan that tests the whole pattern.  The oracle
+hands it each candidate directly, with the candidate's opener positions
+as the values; tests/test_matching.py checks it against contains_pattern, a
 naive matcher and a backtracker.  The oracle shares no code with
 shift/lift, _lift_positions, the folds or the arc scan, and takes no
 shortcut through the arc criterion: nothing in it knows which pair a lift
 joins, so its agreement with the fold's images checks the bijection rather
-than restating it.  Each edge's counts come from a prefix count of the isolated
-points, and the class rule is tested inline by the two comparisons of
-_edge_violation, which admissibility_violation applies with its messages.
+than restating it.  Each edge's counts come from a prefix count of the
+isolated points, and the class rule is tested inline, as the partners are
+listed, by the two comparisons of _edge_violation, which
+admissibility_violation applies with its messages.
 test_pruned_pairings_are_the_admissible_pairings_in_order
 (tests/test_matching.py) pins the oracle's pruning to
 admissibility_violation for every covered set with m <= 10, so the two
@@ -71,8 +75,8 @@ parse_path's error for the first bad one, so a path is read once.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from collections.abc import Sequence
-from itertools import chain, combinations, compress
+from collections.abc import Iterator, Sequence
+from itertools import chain, combinations
 
 from .errors import NOT_IN_IMAGE, DomainError, ParseError
 from .frozen import Frozen
@@ -255,28 +259,29 @@ def _contains_12312(seq: Sequence[int], values: Sequence[int]) -> bool:
     """contains_pattern(seq, FORBIDDEN_PATTERN), given values, the sorted
     distinct values of seq.
 
-    The same search with its three letters' loops written out: letters
-    1 < 2 < 3 take values v0 < v1 < v2 in turn, each leaving a value for
-    every larger letter, and each level moves to its letter's next value as
-    soon as the pattern cut down to the letters assigned so far (1,1, then
-    1,2,1,2, then 1,2,3,1,2) spells no subsequence of seq, tested as one
-    chain of `in` tests on a single iterator over seq.
+    Letters 1 < 2 take values v0 < v1 in turn, each pair leaving a larger
+    value for letter 3, and one scan of a single iterator over seq decides
+    each pair: the leftmost v0, the leftmost v1 after it, then for letter 3
+    the leftmost element greater than v1, then v0 and v1 again.  Letter 3
+    occurs once in 1,2,3,1,2, so any later element greater than v1 would
+    leave less of seq for the closing v0 and v1: the leftmost one is its
+    best value, and no other is tried.  Unlike contains_pattern, the search
+    does not first test that v0 occurs twice (the cut-down pattern 1,1):
+    every value of the oracle's words occurs twice, so that test would
+    never prune there, and the scan tests it anyway.
     """
     last = len(values) - 3
     for i0 in range(last + 1):
         v0 = values[i0]
-        rest = iter(seq)
-        if v0 not in rest or v0 not in rest:
-            continue
-        for i1 in range(i0 + 1, last + 2):
-            v1 = values[i1]
+        for v1 in values[i0 + 1 : last + 2]:
             rest = iter(seq)
-            if v0 not in rest or v1 not in rest or v0 not in rest or v1 not in rest:
+            if v0 not in rest or v1 not in rest:
                 continue
-            for v2 in values[i1 + 1 : last + 3]:
-                rest = iter(seq)
-                if v0 in rest and v1 in rest and v2 in rest and v0 in rest and v1 in rest:
-                    return True
+            for v in rest:
+                if v > v1:
+                    if v0 in rest and v1 in rest:
+                        return True
+                    break
     return False
 
 
@@ -379,21 +384,25 @@ def enumerate_matchings(points: int, edge_count: int) -> list[PartialMatching]:
     covered point is exactly there, so no narrower window is safe; for
     points <= 10 the window cuts the covered sets from 1,024 to 282.
 
-    A prefix count of the isolated points gives each edge's class test its
-    counts by two subtractions.  The pairings are built depth first on an
-    explicit stack, the smallest free point paired with each later free
-    point in turn, and an edge that breaks the class condition (a condition
-    on each edge alone) is skipped with every pairing containing it.  One
-    word, labelled by opener position, is kept for every candidate: a at
+    Per covered set, a prefix count of the isolated points gives each
+    edge's class test its counts by two subtractions, and since the class
+    condition is a condition on each edge alone, each covered point's
+    admissible partners, the later covered points it may be joined to, are
+    listed once.  The pairings are built depth first on an explicit stack,
+    the smallest unpaired point joined to each unpaired point of its list
+    in turn, so an edge that breaks the class condition is never taken.
+    One word, labelled by opener position, is kept per covered set: a at
     the right end of each edge (a, b) taken and p at every other point p,
-    with one opener flag per point; taking or dropping an edge rewrites
-    only its right end's two entries.  The word followed by the isolated
-    points in reverse (the order of their virtual closes) is order-isomorphic
-    to the completed sequence, its labels in order of first occurrence
-    renamed to the points that open them, so _contains_12312, the search of
-    contains_pattern written out for FORBIDDEN_PATTERN, gives the same
-    answer on it, with the opener positions as its sorted distinct values;
-    the candidate is kept when it finds no 1,2,3,1,2.  Order is
+    followed by the isolated points in reverse, the order of their virtual
+    closes; beside it is kept the sorted list of its values, the opener
+    positions.  Taking or dropping an edge rewrites its right end's entry
+    of the word and removes that point from the list or inserts it again.
+    At a complete pairing the word is order-isomorphic to the completed
+    sequence, its labels in order of first occurrence renamed to the points
+    that open them, so _contains_12312, the search of contains_pattern
+    written out for FORBIDDEN_PATTERN, gives the same answer on it with the
+    list as its sorted distinct values; the pairing is kept, as the tuple
+    of its edges, when the search finds no 1,2,3,1,2.  Order is
     lexicographic on the sorted edge list.  Every pairing built here is
     sorted, disjoint and inside 1..points, so the results are wrapped
     without the constructor's checks.
@@ -405,54 +414,69 @@ def enumerate_matchings(points: int, edge_count: int) -> list[PartialMatching]:
     search = _contains_12312
     kept: list[tuple[tuple[int, int], ...]] = []
     line = range(1, points + 1)
-    # word[p - 1]: the opener of the arc at p, a at the right end of an
-    # edge (a, b) taken and p everywhere else; opener[p - 1]: p opens one.
-    word = list(line)
-    opener = [True] * points
     for chosen in combinations(range(1, size + (free_count + 1) // 2 + 1), size):
-        covered = set(chosen)
+        # used[p]: p is isolated or the right end of an edge taken (used[0]
+        # too), so the smallest covered point not used after the left end
+        # of the last edge taken is the next left end.
+        used = [True] * (points + 1)
+        for p in chosen:
+            used[p] = False
         before = [0] * (points + 1)  # before[p]: isolated points left of p
         isolated: list[int] = []
         for p in line:
             before[p] = len(isolated)
-            if p not in covered:
+            if used[p]:
                 isolated.append(p)
-        isolated.reverse()  # the order of their virtual closes
-        used = [False] * size
-        taken: list[tuple[int, int]] = []  # (s, t) of each edge taken
-        s, t = 0, 1  # pair chosen[s], the smallest free point, with chosen[t]
+        # word[p - 1]: the opener of the arc at p, a at the right end of an
+        # edge (a, b) taken and p everywhere else, then the isolated points
+        # in reverse, the order of their virtual closes; openers: its
+        # values, sorted.
+        word = [*line, *reversed(isolated)]
+        openers = list(line)
+        # partners[a]: each later covered point b whose edge (a, b) keeps
+        # _edge_violation's two conditions: at most one isolated point
+        # inside, and no more before a than after b.
+        partners = [[]] * (points + 1)
+        for s, a in enumerate(chosen):
+            partners[a] = [
+                b
+                for b in chosen[s + 1 :]
+                if before[b] - before[a] <= 1 and before[a] <= free_count - before[b]
+            ]
+        taken: list[tuple[int, int]] = []
+        # tries[d]: what is left of partners[a] for the edge (a, b) at depth d.
+        tries: list[Iterator[int]] = []
+        a = chosen[0] if chosen else 0
+        rest = iter(partners[a])
+        depth = 0
         while True:
-            if len(taken) < edge_count and t < size:
-                a, b = chosen[s], chosen[t]
-                # _edge_violation's two conditions: more than one isolated
-                # point inside (a, b), or more before a than after b.
-                if (
-                    used[t]
-                    or before[b] - before[a] > 1
-                    or before[a] > free_count - before[b]
-                ):
-                    t += 1
+            if depth < edge_count:
+                for b in rest:
+                    if not used[b]:
+                        break
+                else:
+                    b = 0  # no partner left for a: drop the last edge
+                if b:
+                    used[b] = True
+                    taken.append((a, b))
+                    tries.append(rest)
+                    word[b - 1] = a
+                    openers.remove(b)
+                    depth += 1
+                    if depth < edge_count:
+                        a = used.index(False, a + 1)
+                        rest = iter(partners[a])
                     continue
-                used[s] = used[t] = True
-                taken.append((s, t))
-                word[b - 1] = a
-                opener[b - 1] = False
-                if len(taken) < edge_count:
-                    s = used.index(False, s + 1)
-                    t = s + 1
-                continue
-            if len(taken) == edge_count and not search(
-                word + isolated, list(compress(line, opener))
-            ):
-                kept.append(tuple([(chosen[u], chosen[v]) for u, v in taken]))
-            if not taken:
+            elif not search(word, openers):
+                kept.append(tuple(taken))
+            if not depth:
                 break
-            s, t = taken.pop()
-            used[s] = used[t] = False
-            b = chosen[t]
+            depth -= 1
+            a, b = taken.pop()
+            rest = tries.pop()
+            used[b] = False
             word[b - 1] = b
-            opener[b - 1] = True
-            t += 1
+            insort(openers, b)
     kept.sort()
     return [PartialMatching._trusted(points, edges) for edges in kept]
 

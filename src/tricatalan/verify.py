@@ -32,9 +32,10 @@ it: paths(i, j) maps each path to its weight exponent, trees(n) each even
 tree with 2n edges to its r-index, and the matching table each cell's
 members to their crossings.  The counting checks take the histogram of a
 map's values, and the bijection checks fold every path once and unfold
-every image once, reading both statistics from the maps, so each object's
-statistic is computed once per run and no object goes through a bijection
-twice.  No check writes state that another check reads.
+every image once, reading both statistics from the maps and comparing the
+images with the family by one lookup each, so each object's statistic is
+computed once per run and no object goes through a bijection twice.  No
+check writes state that another check reads.
 """
 
 from __future__ import annotations
@@ -230,20 +231,29 @@ def _bijection(
     paths maps each path to its weight exponent and members each member to
     its statistic; statistic is computed only for an image that is no member.
 
-    Each path is folded once and each image unfolded once.  The other
-    roundtrip, fold(unfold(member)) == member, is not run: with the images
-    distinct, equal to the members as a set and unfolding to their paths,
-    every member is fold(p) for a path p that it unfolds to.
+    Each path is folded once and each image unfolded once.  The images
+    equal the members as a set exactly when every image is found in members
+    and there are as many distinct images as members, so the one lookup
+    that reads each image's statistic also counts the images found, and no
+    second set is built.  The other roundtrip, fold(unfold(member)) ==
+    member, is not run: with the images distinct, equal to the members as a
+    set and unfolding to their paths, every member is fold(p) for a path p
+    that it unfolds to.
     """
     images = [fold(p) for p in paths]
-    image_set = set(images)
-    if len(image_set) != len(images):
+    distinct = len(set(images))
+    if distinct != len(images):
         yield f"{where}: duplicate images under path folding"
+    found = 0
     for (p, weight), image in zip(paths.items(), images):
         value = members.get(image)
-        if (statistic(image) if value is None else value) != weight:
+        if value is None:
+            value = statistic(image)
+        else:
+            found += 1
+        if value != weight:
             yield f"path {p!r}: the statistic of {show(image)} != weight exponent"
-    if image_set != members.keys():
+    if found != len(images) or distinct != len(members):
         yield f"{where}: images differ from the enumerated family"
     for p, image in zip(paths, images):
         if unfold(image) != p:
@@ -295,8 +305,9 @@ def _check_tree_bijection(max_n: int, paths: Paths, trees: Trees) -> Witnesses:
 def _random_matching(rng: random.Random, max_points: int) -> matching.PartialMatching:
     m = rng.randrange(0, max_points + 1)
     pair_count = rng.randrange(0, m // 2 + 1)
+    # sample returns the points in random order, so its consecutive pairs
+    # are a uniformly random pairing of them.
     chosen = rng.sample(range(1, m + 1), 2 * pair_count)
-    rng.shuffle(chosen)
     edges = tuple(
         (min(a, b), max(a, b)) for a, b in zip(chosen[0::2], chosen[1::2])
     )

@@ -357,25 +357,28 @@ def test_oracle_search_is_the_generic_matcher_on_the_forbidden_pattern(monkeypat
     # The oracle's search is module code, visible to profilers and coverage.
     search = matching._contains_12312
     assert search.__code__.co_filename == matching.__file__
-    # Every word of length <= 7 over four values, the short ones also
-    # against the naive matcher.
-    words = [w for n in range(8) for w in product((1, 2, 3, 4), repeat=n)]
-    assert len(words) == 21845
-    hits = 0
-    for w in words:
-        want = contains_pattern(w, FORBIDDEN_PATTERN)
-        assert search(w, sorted(set(w))) == want, w
-        if len(w) <= 6:
-            assert _naive_contains(w, FORBIDDEN_PATTERN) == want, w
-        hits += want
-    assert hits == 871
-    # Every word the oracle searches for m <= 10.
+    # Every word of length <= 8 over four values and <= 7 over five, those
+    # of length <= 6 also against the naive matcher: (values, longest
+    # length, words, words that contain the pattern).
+    for size, longest, count, hits in ((4, 8, 87381, 7303), (5, 7, 97656, 3581)):
+        alphabet = range(size)
+        words = [w for n in range(longest + 1) for w in product(alphabet, repeat=n)]
+        assert len(words) == count
+        found = 0
+        for w in words:
+            want = contains_pattern(w, FORBIDDEN_PATTERN)
+            assert search(w, sorted(set(w))) == want, w
+            if len(w) <= 6:
+                assert _naive_contains(w, FORBIDDEN_PATTERN) == want, w
+            found += want
+        assert found == hits, size
+    # Every word the oracle searches for m <= 12.
     calls = []
     _record_oracle_words(monkeypatch, calls)
-    for m in range(11):
+    for m in range(13):
         for size in range(0, m + 1, 2):
             enumerate_matchings(m, size // 2)
-    assert calls
+    assert len(calls) == 33120
     for seq, values in calls:
         assert search(seq, values) == contains_pattern(seq, FORBIDDEN_PATTERN), seq
 

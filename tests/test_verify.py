@@ -52,6 +52,7 @@ def bump_cell(i, j):
 
 
 EEENEN_MATCHING = matching.PartialMatching(4, ((1, 3), (2, 4)))
+OUTSIDE_MATCHING = matching.PartialMatching(4, ((1, 4),))  # covers 2 and 3
 EEEENN_TREE = eventree.path_to_tree("EEEENN")  # 4 edges, in the family for n = 2
 # The first sample the shift-lift check draws at seed 0, after one shift.
 FIRST_SHIFTED = matching.shift(verify._random_matching(random.Random(0), 12))
@@ -102,6 +103,24 @@ WITNESS_FAULTS = [
         lambda members: members[1:],
         "(i,j)=(4,2): images differ from the enumerated family",
     ),
+    # One extra member: an edge over two isolated points, outside the class;
+    # then the same one in place of a member, so the sizes agree.
+    (
+        "matching-bijection", matching, "enumerate_matchings", (4, 1),
+        lambda members: [*members, OUTSIDE_MATCHING],
+        "(i,j)=(4,1): images differ from the enumerated family",
+    ),
+    (
+        "matching-bijection", matching, "enumerate_matchings", (4, 1),
+        lambda members: [*members[1:], OUTSIDE_MATCHING],
+        "(i,j)=(4,1): images differ from the enumerated family",
+    ),
+    # One extra member: a dotted tree, which no on-line path folds to.
+    (
+        "even-tree-bijection", eventree, "enumerate_even_trees", (4,),
+        lambda trees: [*trees, eventree.tree_from_paren("*()()()()")],
+        "n=2: images differ from the enumerated family",
+    ),
     (
         "matching-bijection", matching, "path_to_matching", ("EEENE",),
         lambda _: matching.path_to_matching("EEEEN"),
@@ -130,6 +149,17 @@ WITNESS_FAULTS = [
 ]
 
 
+def _fault_ids(faults):
+    """Each fault's function name, numbered from its second use on."""
+    uses = {}
+    ids = []
+    for fault in faults:
+        name = fault[2]
+        uses[name] = uses.get(name, 0) + 1
+        ids.append(name if uses[name] == 1 else f"{name}-{uses[name]}")
+    return ids
+
+
 def failed_check(monkeypatch, check, module, name, target, wrong):
     """The result of check in run_verify(2) with the corruption in place."""
     corrupt(monkeypatch, module, name, target, wrong)
@@ -153,7 +183,7 @@ def test_fault_injection_fails_the_check(monkeypatch, check):
 @pytest.mark.parametrize(
     "check, module, name, target, wrong, witness",
     WITNESS_FAULTS,
-    ids=[fault[2] for fault in WITNESS_FAULTS],
+    ids=_fault_ids(WITNESS_FAULTS),
 )
 def test_each_witness_fires(monkeypatch, check, module, name, target, wrong, witness):
     result = failed_check(monkeypatch, check, module, name, target, wrong)
@@ -261,10 +291,10 @@ def test_verify_counts_each_members_crossings_once(monkeypatch):
     # The matching table's build takes the 1,255 members' crossings, on the
     # class counts' first read, and the bijection reads them from it.  The
     # shift-lift check makes 3 calls per sample and one more for each
-    # sample with a lift: 158 of the 200 at seed 0.
+    # sample with a lift: 159 of the 200 at seed 0.
     assert seen["matching-class-counts"] == 1255
     assert seen["matching-bijection"] == 1255
-    assert counts["crossings"] == 1255 + 3 * verify.RANDOM_TRIALS + 158
+    assert counts["crossings"] == 1255 + 3 * verify.RANDOM_TRIALS + 159
 
 
 def test_verify_computes_each_objects_statistic_once(monkeypatch):
@@ -285,7 +315,7 @@ def test_verify_computes_each_objects_statistic_once(monkeypatch):
         "weight_exponent": 1255,
         "r_index": 344,
         "enumerate_even_trees": 5,
-        "crossings": 1255 + 3 * verify.RANDOM_TRIALS + 158,
+        "crossings": 1255 + 3 * verify.RANDOM_TRIALS + 159,
     }
 
 
