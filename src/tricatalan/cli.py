@@ -22,8 +22,9 @@ from .errors import DomainError, ParseError
 
 # The text grid holds every cell at once; json and csv stream any size.
 TEXT_TABLE_MAX_I = 200
-# map refolds a matching point by point; larger ones are refused before
-# that work starts.  The library functions take any size.
+# map refolds a matching point by point, and enum matchings allocates per
+# point; larger ones are refused before that work starts.  The library
+# functions take any size.
 MAP_MAX_POINTS = 10**6
 # verify's closed-form checks grow faster than cubically with --max-n:
 # --max-n 500 ran in 13 s at a 110 MB peak (Python 3.11, 2 CPUs), 600 in
@@ -181,25 +182,31 @@ def _print_grid(max_i: int) -> None:
         print((f"j={j}".ljust(label) + "  " + "  ".join(row)).rstrip())
 
 
+def _line(obj: object, fmt: str) -> str:
+    """The line that map and enum print for a path, a matching or a tree:
+    JSON in json format, else the bare path or the paren text.  A matching
+    has no text form and prints as JSON in every format."""
+    if isinstance(obj, str):
+        return _compact(obj) if fmt == "json" else obj
+    if isinstance(obj, matching.PartialMatching):
+        return _compact(matching.matching_to_json(obj))
+    return _tree_json(obj) if fmt == "json" else eventree.paren(obj)
+
+
 def cmd_map(args: argparse.Namespace) -> int:
     value = _read_value(args.value)
     kind = args.kind
     if kind == "path-to-matching":
         result = matching.path_to_matching(_path_arg(value))
-        print(_compact(matching.matching_to_json(result)))
     elif kind == "matching-to-path":
-        path = matching.matching_to_path(_matching_arg(value))
-        print(_compact(path) if args.format == "json" else path)
+        result = matching.matching_to_path(_matching_arg(value))
     elif kind == "tree-to-path":
-        path = eventree.tree_to_path(_tree_arg(value))
-        print(_compact(path) if args.format == "json" else path)
-    else:
-        if kind == "path-to-tree":
-            path = _path_arg(value)
-        else:  # matching-to-tree, composed through the path
-            path = matching.matching_to_path(_matching_arg(value))
-        tree = eventree.path_to_tree(path)
-        print(_tree_json(tree) if args.format == "json" else eventree.paren(tree))
+        result = eventree.tree_to_path(_tree_arg(value))
+    elif kind == "path-to-tree":
+        result = eventree.path_to_tree(_path_arg(value))
+    else:  # matching-to-tree, composed through the path
+        result = eventree.path_to_tree(matching.matching_to_path(_matching_arg(value)))
+    print(_line(result, args.format))
     return 0
 
 
@@ -217,6 +224,10 @@ def _enum_objects(args: argparse.Namespace) -> tuple[list, str]:
             raise ParseError("matchings need --i (points) and --j (edges)")
         if args.i < 0 or args.j < 0 or 2 * args.j > args.i:
             raise ParseError(f"need 0 <= 2*{args.j} <= {args.i}")
+        if args.i > MAP_MAX_POINTS:
+            raise DomainError(
+                f"enum matchings is limited to --i <= {MAP_MAX_POINTS} points"
+            )
         return matching.enumerate_matchings(args.i, args.j), "m,edges"
     if args.edges is None:
         raise ParseError("trees need --edges")
@@ -227,26 +238,17 @@ def _enum_objects(args: argparse.Namespace) -> tuple[list, str]:
 
 def cmd_enum(args: argparse.Namespace) -> int:
     objects, csv_header = _enum_objects(args)
-    family = args.family
     if args.format == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(csv_header.split(","))
         for obj in objects:
-            if family == "paths":
-                writer.writerow([obj])
-            elif family == "matchings":
+            if args.family == "matchings":
                 writer.writerow([obj.m, _compact([list(e) for e in obj.edges])])
             else:
-                writer.writerow([eventree.paren(obj)])
+                writer.writerow([_line(obj, "text")])
         return 0
     for obj in objects:
-        if family == "paths":
-            line = _compact(obj) if args.format == "json" else obj
-        elif family == "matchings":
-            line = _compact(matching.matching_to_json(obj))
-        else:
-            line = _tree_json(obj) if args.format == "json" else eventree.paren(obj)
-        print(line)
+        print(_line(obj, args.format))
     if args.format == "text":
         print(f"count: {len(objects)}")
     return 0

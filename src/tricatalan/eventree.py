@@ -21,10 +21,10 @@ children (both folds keep leaves as the shared () until a lift grows one);
 each step pushes and pops at or next to the ends of the root and of one
 child, in O(1), and a fold converts to or from the text once.  path_to_tree
 checks each step inside its fold loop, raising parse_path's error for the
-first bad one, and writes the text of its working form with a walker that
-trusts that form (_trusted_body), as tree_lift does.  The public
-constructor takes nested sequences from users and checks every vertex as
-it writes the text (_paren_body), then the text itself (_check).
+first bad one.  One walker writes tree text (_paren_body), checking every
+vertex as it goes: the public constructor hands it the nested sequences a
+user gave, then checks the text itself (_check), and path_to_tree and
+tree_lift hand it their working form.
 """
 
 from __future__ import annotations
@@ -67,8 +67,9 @@ class EvenTree(Frozen):
 
 
 def _paren_body(root: object) -> str:
-    """The paren text of the children of root, given as nested sequences;
-    walked with an explicit stack, the root checked like the other vertices."""
+    """The paren text of the children of root, given as nested sequences or
+    as the working form; walked with an explicit stack, the root checked
+    like the other vertices."""
     out: list[str] = []
     stack = [iter((root,))]
     while stack:
@@ -84,25 +85,6 @@ def _paren_body(root: object) -> str:
             out.append(")")
             stack.pop()
     return "".join(out)[1:-2]  # without the root's parentheses and the last ")"
-
-
-def _trusted_body(root: _Vertex) -> str:
-    """The paren text of the children of root, a vertex of the working form,
-    walked with an explicit stack; the form is trusted, so no child is
-    checked (_paren_body checks each one, for user input)."""
-    out: list[str] = []
-    stack = [iter(root)]
-    while stack:
-        for child in stack[-1]:  # write leaves, descend into the next inner child
-            if child:
-                out.append("(")
-                stack.append(iter(child))
-                break
-            out.append("()")
-        else:
-            out.append(")")
-            stack.pop()
-    return "".join(out)[:-1]  # without the root's closing ")"
 
 
 def _check(body: str, dotted: bool) -> None:
@@ -218,7 +200,7 @@ def tree_lift(tree: EvenTree, i: int, j: int) -> EvenTree:
     if len(root) < 4 and (i % 2 == 1 or j != i // 2 - 1):
         raise DomainError("lift unavailable: root degree below four")
     _lift(root, i, j)
-    return EvenTree._trusted(_trusted_body(root), tree.dotted)
+    return EvenTree._trusted(_paren_body(root), tree.dotted)
 
 
 def _lift(root: _Vertex, i: int, j: int) -> None:
@@ -265,7 +247,7 @@ def path_to_tree(path: str) -> EvenTree:
             y += 1
         else:
             raise _step_error(ch, x + y)
-    return EvenTree._trusted(_trusted_body(root), x % 2 == 1)
+    return EvenTree._trusted(_paren_body(root), x % 2 == 1)
 
 
 def tree_to_path(tree: EvenTree, endpoint: tuple[int, int] | None = None) -> str:

@@ -26,11 +26,12 @@ and close A: the arc-diagram reading of crossings in Chen, Deng, Du,
 Stanley and Yan, "Crossings and nestings of matchings and partitions"
 (Trans. AMS, 2007), and in Jelinek, "Dyck paths and pattern-avoiding
 matchings" (Electron. J. Combin., 2007).  contains_forbidden tests that
-criterion in one left-to-right scan that keeps the openers of the open
-arcs on a stack: when an arc closes, only the first two arcs opened after
-it and still open can matter, so each close either leaves from the last
-two places or completes the pattern.  matching_to_path does not need it
-to decide membership: it refolds the matching with the same lift rule
+criterion in its own body, by one left-to-right scan that keeps the
+openers of the open arcs on a stack: when an arc closes, only the first
+two arcs opened after it and still open can matter, so each close either
+leaves from the last two places or completes the pattern.  No other
+function holds the scan.  matching_to_path does not need it to decide
+membership: it refolds the matching with the same lift rule
 (_lift_positions, inlined in its loop) and calls contains_forbidden only
 to explain a rejection.
 
@@ -54,7 +55,7 @@ follow them, in the same scan that tests the whole pattern.  The oracle
 hands it each candidate directly, with the candidate's opener positions
 as the values; tests/test_matching.py checks it against contains_pattern, a
 naive matcher and a backtracker.  The oracle shares no code with
-shift/lift, _lift_positions, the folds or the arc scan, and takes no
+shift/lift, _lift_positions, the folds or contains_forbidden, and takes no
 shortcut through the arc criterion: nothing in it knows which pair a lift
 joins, so its agreement with the fold's images checks the bijection rather
 than restating it.  Each edge's counts come from a prefix count of the
@@ -169,15 +170,8 @@ def contains_forbidden(matching: PartialMatching) -> bool:
     crossing edge would.  Since every label of that form occurs twice, this
     holds iff two arcs A, B cross (open A < open B < close A < close B) and
     some arc opens strictly between open B and close A (Chen, Deng, Du,
-    Stanley and Yan 2007; Jelinek 2007), which is decided in O(m).
-    """
-    return _crossing_pair_with_opener_inside(matching.m, matching.edges)
-
-
-def _crossing_pair_with_opener_inside(
-    m: int, edges: Sequence[tuple[int, int]]
-) -> bool:
-    """The arc criterion of contains_forbidden, by one left-to-right scan.
+    Stanley and Yan 2007; Jelinek 2007), which one left-to-right scan
+    decides in O(m).
 
     opened holds, in order, the openers of the arcs still open: left ends
     not yet closed, and every isolated point, whose virtual close comes
@@ -189,10 +183,10 @@ def _crossing_pair_with_opener_inside(
     pattern unless a is the last entry, or the second to last with latest
     the last; then a leaves from one of the last two places, in O(1).
     """
-    left_of = {b: a for a, b in edges}
+    left_of = {b: a for a, b in matching.edges}
     opened: list[int] = []
     latest = 0
-    for p in range(1, m + 1):
+    for p in range(1, matching.m + 1):
         a = left_of.get(p)
         if a is None:
             opened.append(p)

@@ -13,36 +13,36 @@ Every table value a check reads comes from one shared pass of the column
 DP over columns 0..2*max_n, so a run computes the DP once.  The pass is a
 generator (_dp_pass) that keeps every cell with i <= min(2*max_n,
 PATH_ORACLE_MAX_I), which the path oracle and the matching class counts
-read, and L(2n, n), L(2n, n-1) and the sum of column 2n-1 for each n.  Two
-build-once readers (_once) take it only as far as a check needs: cells()
-stops at the kept cells' last column, and corners(), which the closed-form
-checks read, goes on to column 2*max_n.  The pass and the matching table
-are each built once, on first read inside a check; a build that fails
-runs once too, and its exception, raised again to every reader, is the
-witness of every check that reads it.  The four closed-form identities scale
-with the requested max_n and compare those with a second route (a binomial
-formula, the closed form, or another cell); the binomial formula
-(lattice.catalan3_coeff) and the closed form (lattice.descent_poly) are
-the same expression typed twice.  The tree counts read L(2n, n).
-The brute-force families are capped at fixed desk scales
-(they grow super-exponentially), and every check reports the range it
-actually ran.  Each family is a map from each object to its statistic,
-built once per run on its first read and shared by the checks that read
-it: paths(i, j) maps each path to its weight exponent, trees(n) each even
-tree with 2n edges to its r-index, and the matching table each cell's
-members to their crossings.  The counting checks take the histogram of a
-map's values, and the bijection checks fold every path once and unfold
-every image once, reading both statistics from the maps and comparing the
-images with the family by one lookup each, so each object's statistic is
-computed once per run and no object goes through a bijection twice.  No
-check writes state that another check reads.
+read, and L(2n, n), L(2n, n-1) and the sum of column 2n-1 for each n.
+Every shared value is read through one kind of build-once reader (_once),
+keyed by the call's arguments: cells() takes the pass to the kept cells'
+last column, corners(), which the closed-form checks read, takes it on to
+column 2*max_n, and the families and the matching table are built the same
+way.  Each is built once per run, on first read inside a check; a build
+that fails runs once too, and its exception, raised again to every reader,
+is the witness of every check that reads it.  The four closed-form
+identities scale with the requested max_n and compare those with a second
+route (a binomial formula, the closed form, or another cell);
+lattice.descent_poly is built from the binomial formula
+lattice.catalan3_coeff, so those two checks read one formula twice.  The
+tree counts read L(2n, n).  The brute-force families are capped at fixed
+desk scales (they grow super-exponentially), and every check reports the
+range it actually ran.  Each family is a map from each object to its
+statistic, shared by the checks that read it: paths(i, j) maps each path
+to its weight exponent, trees(n) each even tree with 2n edges to its
+r-index, and the matching table each cell's members to their crossings.
+The counting checks take the histogram of a map's values, and the
+bijection checks fold every path once and unfold every image once, reading
+both statistics from the maps and comparing the images with the family by
+one lookup each, so each object's statistic is computed once per run and
+no object goes through a bijection twice.  No check writes state that
+another check reads.
 """
 
 from __future__ import annotations
 
 import random
 from collections.abc import Callable, Iterable, Iterator
-from functools import cache
 from itertools import zip_longest
 
 from . import eventree, lattice, matching
@@ -154,18 +154,18 @@ def _dp_pass(max_n: int, max_i: int) -> Iterator:
 
 
 def _once(build: Callable) -> Callable:
-    """A reader that runs build on its first call and gives every call the
-    value built, or raises again the exception that the build raised."""
+    """A reader that runs build once per distinct arguments, on the first
+    call with them, and gives every later call with them the value built,
+    or raises again the exception that the build raised."""
+    outcomes: dict[tuple, tuple] = {}
 
-    @cache
-    def outcome() -> tuple:
-        try:
-            return build(), None
-        except Exception as exc:
-            return None, exc
-
-    def read():
-        value, error = outcome()
+    def read(*args):
+        if args not in outcomes:
+            try:
+                outcomes[args] = build(*args), None
+            except Exception as exc:
+                outcomes[args] = None, exc
+        value, error = outcomes[args]
         if error is not None:
             raise error
         return value
@@ -375,16 +375,16 @@ def _checks(max_n: int, seed: int) -> list[tuple[str, str, Witnesses]]:
 
     # Each built on first use inside a check, and shared by the checks that
     # read it; the values built are never mutated, and live only as long as
-    # the run.  The DP pass and the matching table are read through _once,
-    # so a failing build runs once and its exception is the witness of every
-    # check that reads it.  The pass is one generator with two readers:
-    # cells() stops it at column path_i, and corners() reads on to column
-    # 2*max_n.  Each family maps its objects to their statistic: paths per
-    # cell, trees per edge count, and the matching table per cell.
-    paths = cache(
+    # the run.  Every one is read through _once, so a failing build runs
+    # once and its exception is the witness of every check that reads it.
+    # The DP pass is one generator with two readers: cells() stops it at
+    # column path_i, and corners() reads on to column 2*max_n.  Each family
+    # maps its objects to their statistic: paths per cell, trees per edge
+    # count, and the matching table per cell.
+    paths = _once(
         lambda i, j: _family(lattice.enumerate_paths(i, j), lattice.weight_exponent)
     )
-    trees = cache(
+    trees = _once(
         lambda n: _family(eventree.enumerate_even_trees(2 * n), eventree.r_index)
     )
     dp = _dp_pass(max_n, path_i)

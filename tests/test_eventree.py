@@ -260,28 +260,6 @@ def test_fold_and_unfold_states_equal_their_revalidated_copies(monkeypatch):
         assert checked == state and hash(checked) == hash(state)
 
 
-def test_trusted_writer_gives_the_checked_writers_text(monkeypatch):
-    # The folds write their working form with _trusted_body, which checks no
-    # vertex; on every fold it must write what the checking _paren_body does.
-    written = []
-    trusted = eventree._trusted_body
-
-    def compared(root):
-        text = trusted(root)
-        assert text == eventree._paren_body(root)
-        written.append(text)
-        return text
-
-    monkeypatch.setattr(eventree, "_trusted_body", compared)
-    count = 0
-    for i in range(13):
-        for j in range(i // 2 + 1):
-            for p in enumerate_paths(i, j):
-                assert path_to_tree(p).body == written[-1]
-                count += 1
-    assert len(written) == count
-
-
 def test_deep_and_long_paths_fold_and_unfold_at_the_default_recursion_limit():
     assert sys.getrecursionlimit() <= 1000
     k = 10 ** 5

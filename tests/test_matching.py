@@ -499,7 +499,7 @@ def test_oracle_does_not_use_the_arc_detector(monkeypatch):
         raise AssertionError("the oracle must not call the arc detector or the fold")
 
     for name in (
-        "_crossing_pair_with_opener_inside",
+        "contains_forbidden",
         "_lift_positions",
         "shift",
         "lift",
@@ -632,7 +632,7 @@ def test_refold_runs_the_pattern_detector_only_on_rejection(monkeypatch):
     def refuse(*args):
         raise AssertionError("an accepted matching needs no pattern check")
 
-    monkeypatch.setattr(matching, "_crossing_pair_with_opener_inside", refuse)
+    monkeypatch.setattr(matching, "contains_forbidden", refuse)
     for p in enumerate_paths(10, 4):
         assert matching_to_path(path_to_matching(p)) == p
 

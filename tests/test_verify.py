@@ -239,6 +239,32 @@ def test_exception_while_enumerating_matchings_fails_both_matching_checks(
     assert calls.count((4, 2)) == 1
 
 
+def test_failing_path_cell_is_built_once_and_fails_every_reader(monkeypatch):
+    real = lattice.enumerate_paths
+    calls = []
+
+    def crashing(i, j):
+        calls.append((i, j))
+        if (i, j) == (3, 1):
+            raise DomainError("injected")
+        return real(i, j)
+
+    monkeypatch.setattr(lattice, "enumerate_paths", crashing)
+    report = verify.run_verify(2)
+    failed = [(c.name, c.detail) for c in report.checks if not c.passed]
+    assert failed == [
+        (name, "raised DomainError: injected")
+        for name in (
+            "path-enumeration-vs-table",
+            "matching-bijection",
+            "even-tree-bijection",
+        )
+    ]
+    # The family of a cell is built once per run, like the DP pass and the
+    # matching table: its failing build is not run again for later readers.
+    assert calls.count((3, 1)) == 1
+
+
 def test_verify_help_states_the_caps(capsys, monkeypatch):
     monkeypatch.setattr(verify, "MATCHING_MAX_I", 13)
     monkeypatch.setattr(verify, "TREE_BIJECTION_MAX_N", 6)
