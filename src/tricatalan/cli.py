@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 
@@ -26,6 +27,16 @@ TEXT_TABLE_MAX_I = 200
 # point; larger ones are refused before that work starts.  The library
 # functions take any size.
 MAP_MAX_POINTS = 10**6
+# enum paths and enum trees build the whole family before the first line:
+# at most this many letters in all, paths times steps per path or trees
+# times paren letters per tree.  Paths to (20, 10), 4.3 * 10^7 letters,
+# took 4.0 s at a 146 MB peak, and trees with 18 edges, 8.9 * 10^6
+# letters, 2.0 s at 87 MB (Python 3.11, 2 CPUs).
+ENUM_MAX_LETTERS = 10**7
+# enum matchings runs the brute-force oracle; its work bound, checked before
+# it starts, is at most this.  At the limit, --i 500 --j 0 took 2.5 s and
+# --i 14 --j 6, the largest bound with i <= 14 (5.5 * 10^8), 0.9 s.
+ENUM_MATCHINGS_MAX_WORK = 10**9
 # verify's closed-form checks grow faster than cubically with --max-n:
 # --max-n 500 ran in 13 s at a 110 MB peak (Python 3.11, 2 CPUs), 600 in
 # 26 s at 159 MB.  Larger values are refused before any check runs.
@@ -210,15 +221,57 @@ def cmd_map(args: argparse.Namespace) -> int:
     return 0
 
 
+def _refuse_letters(
+    family: str, factor: int, n: int, k: int, divisor: int, length: int
+) -> None:
+    """Refuse a family of factor * C(n, k) / divisor objects of length
+    letters each when it has more than ENUM_MAX_LETTERS letters in all.
+    C(n, k) is built from the partial products C(n - k + t, t), t = 1..k,
+    which never decrease and, with k <= n - k, are each at least 2^t, so
+    the loop stops once one passes what the limit allows, within about
+    log2 of that at any n."""
+    cap = ENUM_MAX_LETTERS * divisor
+    k = min(k, n - k)
+    comb = 1
+    for t in range(1, k + 1):
+        comb = comb * (n - k + t) // t
+        if comb > cap:
+            break
+    if factor * comb * length > cap:
+        raise DomainError(
+            f"enum {family} is limited to {ENUM_MAX_LETTERS} letters in all"
+            " (family size x letters per object)"
+        )
+
+
+def _matching_work(points: int, edge_count: int) -> int:
+    """An upper bound on enumerate_matchings' steps: the covered sets drawn
+    from its window, times the pairings of each, times the cube of the word
+    length, which bounds one pattern search (each pair of values scans the
+    word once).  Past ENUM_MATCHINGS_MAX_WORK the cube alone is returned,
+    so no large number is computed."""
+    size = 2 * edge_count
+    free = points - size
+    work = (points + free) ** 3
+    if work <= ENUM_MATCHINGS_MAX_WORK:
+        window = size + (free + 1) // 2
+        work *= math.comb(window, size) * math.prod(range(size - 1, 0, -2))
+    return work
+
+
 def _enum_objects(args: argparse.Namespace) -> tuple[list, str]:
-    """Validate bounds and return (objects, csv header)."""
+    """Validate bounds, refuse a family past its limit before any of it is
+    built, and return (objects, csv header)."""
     family = args.family
     if family == "paths":
-        if args.i is None or args.j is None:
+        i, j = args.i, args.j
+        if i is None or j is None:
             raise ParseError("paths need --i and --j")
-        if args.i < 0 or args.j < 0 or args.i < 2 * args.j:
-            raise ParseError(f"position ({args.i},{args.j}) must satisfy 0 <= 2j <= i")
-        return list(lattice.enumerate_paths(args.i, args.j)), "path"
+        if i < 0 or j < 0 or i < 2 * j:
+            raise ParseError(f"position ({i},{j}) must satisfy 0 <= 2j <= i")
+        # (i - 2j + 1) / (i + j + 1) * C(i + j + 1, j) paths, by the cycle lemma.
+        _refuse_letters(family, i - 2 * j + 1, i + j + 1, j, i + j + 1, i + j)
+        return list(lattice.enumerate_paths(i, j)), "path"
     if family == "matchings":
         if args.i is None or args.j is None:
             raise ParseError("matchings need --i (points) and --j (edges)")
@@ -228,11 +281,20 @@ def _enum_objects(args: argparse.Namespace) -> tuple[list, str]:
             raise DomainError(
                 f"enum matchings is limited to --i <= {MAP_MAX_POINTS} points"
             )
+        if _matching_work(args.i, args.j) > ENUM_MATCHINGS_MAX_WORK:
+            raise DomainError(
+                "enum matchings is limited to cells whose oracle work bound,"
+                " covered sets x pairings x word length^3, is at most"
+                f" {ENUM_MATCHINGS_MAX_WORK}"
+            )
         return matching.enumerate_matchings(args.i, args.j), "m,edges"
     if args.edges is None:
         raise ParseError("trees need --edges")
     if args.edges < 0 or args.edges % 2 != 0:
         raise ParseError("--edges must be even and nonnegative")
+    # catalan3(n) = C(3n, n) / (2n + 1) trees with 2n edges, 4n paren letters each.
+    n = args.edges // 2
+    _refuse_letters(family, 1, 3 * n, n, 2 * n + 1, 4 * n)
     return eventree.enumerate_even_trees(args.edges), "tree"
 
 
@@ -329,7 +391,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_map.add_argument("--format", choices=("text", "json"), default="json")
     p_map.set_defaults(func=cmd_map)
 
-    p_enum = sub.add_parser("enum", help="stream a family, one object per line")
+    p_enum = sub.add_parser(
+        "enum",
+        help="print a family, one object per line",
+        description=(
+            "Print every object of a family, one per line.  The whole family"
+            " is built first, so paths and trees are limited to"
+            f" {ENUM_MAX_LETTERS} letters in all (family size x letters per"
+            f" object), and matchings to --i <= {MAP_MAX_POINTS} points and"
+            f" an oracle work bound of at most {ENUM_MATCHINGS_MAX_WORK}."
+        ),
+    )
     p_enum.add_argument("family", choices=("paths", "matchings", "trees"))
     p_enum.add_argument("--i", type=int, help="east steps / points")
     p_enum.add_argument("--j", type=int, help="north steps / edges")

@@ -35,8 +35,10 @@ The counting checks take the histogram of a map's values, and the
 bijection checks fold every path once and unfold every image once, reading
 both statistics from the maps and comparing the images with the family by
 one lookup each, so each object's statistic is computed once per run and
-no object goes through a bijection twice.  No check writes state that
-another check reads.
+no object goes through a bijection twice.  No set of images is built:
+every image unfolding to its path makes the fold injective, so with every
+image found in the family and as many paths as members, the images are
+the family.  No check writes state that another check reads.
 """
 
 from __future__ import annotations
@@ -231,19 +233,18 @@ def _bijection(
     paths maps each path to its weight exponent and members each member to
     its statistic; statistic is computed only for an image that is no member.
 
-    Each path is folded once and each image unfolded once.  The images
-    equal the members as a set exactly when every image is found in members
-    and there are as many distinct images as members, so the one lookup
-    that reads each image's statistic also counts the images found, and no
-    second set is built.  The other roundtrip, fold(unfold(member)) ==
-    member, is not run: with the images distinct, equal to the members as a
-    set and unfolding to their paths, every member is fold(p) for a path p
-    that it unfolds to.
+    Each path is folded once and each image unfolded once.  The roundtrip
+    unfold(fold(p)) == p for every path makes fold injective, so the images
+    are distinct without a set of them, and they equal the members exactly
+    when every image is found in members and there are as many images as
+    members; the one lookup that reads each image's statistic also counts
+    the images found.  Two paths folded to one image fail the roundtrip, or
+    the statistic first when their weight exponents differ.  The other
+    roundtrip, fold(unfold(member)) == member, is not run: with the images
+    equal to the members and unfolding to their paths, every member is
+    fold(p) for a path p that it unfolds to.
     """
     images = [fold(p) for p in paths]
-    distinct = len(set(images))
-    if distinct != len(images):
-        yield f"{where}: duplicate images under path folding"
     found = 0
     for (p, weight), image in zip(paths.items(), images):
         value = members.get(image)
@@ -253,7 +254,7 @@ def _bijection(
             found += 1
         if value != weight:
             yield f"path {p!r}: the statistic of {show(image)} != weight exponent"
-    if found != len(images) or distinct != len(members):
+    if not found == len(images) == len(members):
         yield f"{where}: images differ from the enumerated family"
     for p, image in zip(paths, images):
         if unfold(image) != p:

@@ -371,6 +371,58 @@ def test_enum_refuses_matchings_past_the_point_limit(capsys, points, j):
     assert err == f"error: {limit}\n"
 
 
+@pytest.mark.parametrize("j", [0, 1])
+def test_enum_refuses_matchings_past_the_work_bound(capsys, j):
+    argv = ["enum", "matchings", "--i", str(cli.MAP_MAX_POINTS), "--j", str(j)]
+    start = time.perf_counter()
+    code, out, err = run(capsys, argv)
+    assert time.perf_counter() - start < 1
+    assert code == 3 and out == ""
+    bound = "oracle work bound, covered sets x pairings x word length^3"
+    assert f"{bound}, is at most {cli.ENUM_MATCHINGS_MAX_WORK}\n" in err
+
+
+def test_enum_accepts_every_matching_cell_up_to_14_points():
+    assert all(
+        cli._matching_work(i, j) <= cli.ENUM_MATCHINGS_MAX_WORK
+        for i in range(15)
+        for j in range(i // 2 + 1)
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["paths", "--i", "30", "--j", "15"],
+        ["paths", "--i", str(10**9), "--j", "0"],
+        ["paths", "--i", str(10**30), "--j", str(10**29)],
+        ["trees", "--edges", "40"],
+        ["trees", "--edges", str(10**30)],
+    ],
+)
+def test_enum_refuses_paths_and_trees_past_the_letter_limit(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["enum", *argv])
+    assert time.perf_counter() - start < 1
+    assert code == 3 and out == ""
+    limit = f"is limited to {cli.ENUM_MAX_LETTERS} letters in all"
+    assert err == f"error: enum {argv[0]} {limit} (family size x letters per object)\n"
+
+
+def test_enum_letter_limit_reads_the_family_size(capsys, monkeypatch):
+    """Paths are refused exactly when their count, read from the DP at x = 1,
+    times the path length passes the limit, and trees when catalan3 times
+    their paren letters does."""
+    monkeypatch.setattr(cli, "ENUM_MAX_LETTERS", 2000)
+    for i, j, p in lattice.lattice_table(40):
+        code = run(capsys, ["enum", "paths", "--i", str(i), "--j", str(j)])[0]
+        assert code == (3 if p.eval_at_one() * (i + j) > 2000 else 0), (i, j)
+    for edges in range(0, 41, 2):
+        code = run(capsys, ["enum", "trees", "--edges", str(edges)])[0]
+        letters = lattice.catalan3(edges // 2) * 2 * edges
+        assert code == (3 if letters > 2000 else 0), edges
+
+
 def _lines(capsys, argv):
     code, out, _ = run(capsys, argv)
     assert code == 0
@@ -800,11 +852,8 @@ def _table_argv(draw):
 def _enum_argv(draw):
     family = draw(_mostly(st.sampled_from(["paths", "matchings", "trees"])))
     # A huge --j leaves no cell below the line and a huge negative count no
-    # family; any other large size would enumerate without end.
-    # A huge --i is refused for matchings, whose oracle allocates per point;
-    # paths have no such limit yet.
-    i_values = st.one_of(_SMALL, _SMALL, _HUGE) if family == "matchings" else _SMALL
-    i = draw(_option("--i", _mostly(i_values)))
+    # family; a huge --i is refused before any enumeration, for every family.
+    i = draw(_option("--i", _mostly(st.one_of(_SMALL, _SMALL, _HUGE))))
     j = draw(_option("--j", _mostly(st.one_of(_SMALL, _SMALL, _HUGE))))
     edges = _mostly(st.one_of(_SMALL, _HUGE.map(lambda v: f"-{v}")), _LONG_DIGITS)
     edges = draw(_option("--edges", edges))

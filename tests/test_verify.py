@@ -121,10 +121,20 @@ WITNESS_FAULTS = [
         lambda trees: [*trees, eventree.tree_from_paren("*()()()()")],
         "n=2: images differ from the enumerated family",
     ),
+    # EEENE (weight exponent 1) folded onto the image of EEEEN (0 crossings).
     (
         "matching-bijection", matching, "path_to_matching", ("EEENE",),
         lambda _: matching.path_to_matching("EEEEN"),
-        "(i,j)=(4,1): duplicate images under path folding",
+        "path 'EEENE': the statistic of matching {'m': 4, 'edges': [[2, 3]]}"
+        " != weight exponent",
+    ),
+    # A fold onto the image of another path of the same cell with the same
+    # statistic passes the lookup and the count; only the roundtrip sees it.
+    (
+        "matching-bijection", matching, "path_to_matching", ("EENEE",),
+        lambda _: matching.path_to_matching("EEEEN"),
+        "path 'EENEE': unfolding matching {'m': 4, 'edges': [[2, 3]]}"
+        " does not give the path back",
     ),
     # A family that lists an object twice fails the checks that read it,
     # though its map of objects to statistics holds each object once.
@@ -137,6 +147,12 @@ WITNESS_FAULTS = [
         "even-tree-bijection", eventree, "path_to_tree", ("EENE",),
         lambda _: eventree.path_to_tree("EEEN"),
         "(i,j)=(3,1): duplicate intermediate trees",
+    ),
+    # The on-line cell's same-statistic collision, which the roundtrip catches.
+    (
+        "even-tree-bijection", eventree, "path_to_tree", ("EENEEN",),
+        lambda _: eventree.path_to_tree("EEEENN"),
+        "path 'EENEEN': unfolding tree (()())() does not give the path back",
     ),
     # With three isolated points lift joins 1 and 3 over 2, one crossing;
     # the corruption joins 1 and 2 instead, as the even lift would.
