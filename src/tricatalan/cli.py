@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
 import sys
 
@@ -27,16 +26,13 @@ TEXT_TABLE_MAX_I = 200
 # point; larger ones are refused before that work starts.  The library
 # functions take any size.
 MAP_MAX_POINTS = 10**6
-# enum paths and enum trees build the whole family before the first line:
-# at most this many letters in all, paths times steps per path or trees
-# times paren letters per tree.  Paths to (20, 10), 4.3 * 10^7 letters,
-# took 4.0 s at a 146 MB peak, and trees with 18 edges, 8.9 * 10^6
-# letters, 2.0 s at 87 MB (Python 3.11, 2 CPUs).
+# enum builds the whole family before the first line: at most this many
+# letters in all, the family's size times the letters of one printed object.
+# Every size is one ballot count (see _refuse_letters).  Paths to (20, 10),
+# 4.3 * 10^7 letters, took 4.0 s at a 146 MB peak; trees with 18 edges,
+# 8.9 * 10^6 letters, 2.0 s at 87 MB; the largest matching family accepted,
+# 198,162 lines at (106, 3), 3.5 s at 131 MB (Python 3.11, 2 CPUs).
 ENUM_MAX_LETTERS = 10**7
-# enum matchings runs the brute-force oracle; its work bound, checked before
-# it starts, is at most this.  At the limit, --i 500 --j 0 took 2.5 s and
-# --i 14 --j 6, the largest bound with i <= 14 (5.5 * 10^8), 0.9 s.
-ENUM_MATCHINGS_MAX_WORK = 10**9
 # verify's closed-form checks grow faster than cubically with --max-n:
 # --max-n 500 ran in 13 s at a 110 MB peak (Python 3.11, 2 CPUs), 600 in
 # 26 s at 159 MB.  Larger values are refused before any check runs.
@@ -221,81 +217,68 @@ def cmd_map(args: argparse.Namespace) -> int:
     return 0
 
 
-def _refuse_letters(
-    family: str, factor: int, n: int, k: int, divisor: int, length: int
-) -> None:
-    """Refuse a family of factor * C(n, k) / divisor objects of length
-    letters each when it has more than ENUM_MAX_LETTERS letters in all.
-    C(n, k) is built from the partial products C(n - k + t, t), t = 1..k,
-    which never decrease and, with k <= n - k, are each at least 2^t, so
-    the loop stops once one passes what the limit allows, within about
-    log2 of that at any n."""
-    cap = ENUM_MAX_LETTERS * divisor
-    k = min(k, n - k)
+def _refuse_letters(family: str, i: int, j: int, letters: int) -> None:
+    """Refuse a family of b(i, j) objects of `letters` letters each when it
+    has more than ENUM_MAX_LETTERS letters in all.  By the cycle lemma,
+    b(i, j) = (i - 2j + 1) / (i + j + 1) * C(i + j + 1, j) counts the paths
+    to (i, j), and so the matchings with i points and j edges; the trees
+    with 2n edges are b(2n, n) = catalan3(n).  C(i + j + 1, j) is built from
+    the partial products C(i + 1 + t, t), t = 1..j, which never decrease
+    and, as j <= i + 1, are each at least 2^t, so the loop stops once one
+    passes what the limit allows, within about log2 of that at any size."""
+    cap = ENUM_MAX_LETTERS * (i + j + 1)
     comb = 1
-    for t in range(1, k + 1):
-        comb = comb * (n - k + t) // t
+    for t in range(1, j + 1):
+        comb = comb * (i + 1 + t) // t
         if comb > cap:
             break
-    if factor * comb * length > cap:
+    if (i - 2 * j + 1) * comb * letters > cap:
         raise DomainError(
             f"enum {family} is limited to {ENUM_MAX_LETTERS} letters in all"
             " (family size x letters per object)"
         )
 
 
-def _matching_work(points: int, edge_count: int) -> int:
-    """An upper bound on enumerate_matchings' steps: the covered sets drawn
-    from its window, times the pairings of each, times the cube of the word
-    length, which bounds one pattern search (each pair of values scans the
-    word once).  Past ENUM_MATCHINGS_MAX_WORK the cube alone is returned,
-    so no large number is computed."""
-    size = 2 * edge_count
-    free = points - size
-    work = (points + free) ** 3
-    if work <= ENUM_MATCHINGS_MAX_WORK:
-        window = size + (free + 1) // 2
-        work *= math.comb(window, size) * math.prod(range(size - 1, 0, -2))
-    return work
-
-
 def _enum_objects(args: argparse.Namespace) -> tuple[list, str]:
     """Validate bounds, refuse a family past its limit before any of it is
-    built, and return (objects, csv header)."""
+    built, and return (objects, csv header).  Matchings are the folds of the
+    paths to the same cell, sorted by edge list: the class and the order of
+    enumerate_matchings, the brute-force oracle that verify compares with
+    the fold."""
     family = args.family
+    i, j = args.i, args.j
     if family == "paths":
-        i, j = args.i, args.j
         if i is None or j is None:
             raise ParseError("paths need --i and --j")
         if i < 0 or j < 0 or i < 2 * j:
             raise ParseError(f"position ({i},{j}) must satisfy 0 <= 2j <= i")
-        # (i - 2j + 1) / (i + j + 1) * C(i + j + 1, j) paths, by the cycle lemma.
-        _refuse_letters(family, i - 2 * j + 1, i + j + 1, j, i + j + 1, i + j)
-        return list(lattice.enumerate_paths(i, j)), "path"
-    if family == "matchings":
-        if args.i is None or args.j is None:
+        letters = i + j
+    elif family == "matchings":
+        if i is None or j is None:
             raise ParseError("matchings need --i (points) and --j (edges)")
-        if args.i < 0 or args.j < 0 or 2 * args.j > args.i:
-            raise ParseError(f"need 0 <= 2*{args.j} <= {args.i}")
-        if args.i > MAP_MAX_POINTS:
+        if i < 0 or j < 0 or 2 * j > i:
+            raise ParseError(f"need 0 <= 2*{j} <= {i}")
+        if i > MAP_MAX_POINTS:
             raise DomainError(
                 f"enum matchings is limited to --i <= {MAP_MAX_POINTS} points"
             )
-        if _matching_work(args.i, args.j) > ENUM_MATCHINGS_MAX_WORK:
-            raise DomainError(
-                "enum matchings is limited to cells whose oracle work bound,"
-                " covered sets x pairings x word length^3, is at most"
-                f" {ENUM_MATCHINGS_MAX_WORK}"
-            )
-        return matching.enumerate_matchings(args.i, args.j), "m,edges"
-    if args.edges is None:
-        raise ParseError("trees need --edges")
-    if args.edges < 0 or args.edges % 2 != 0:
-        raise ParseError("--edges must be even and nonnegative")
-    # catalan3(n) = C(3n, n) / (2n + 1) trees with 2n edges, 4n paren letters each.
-    n = args.edges // 2
-    _refuse_letters(family, 1, 3 * n, n, 2 * n + 1, 4 * n)
-    return eventree.enumerate_even_trees(args.edges), "tree"
+        # {"m":i,"edges":[[a,b],...]} with every number of at most d digits.
+        d = len(str(i))
+        letters = 17 + d + j * (4 + 2 * d)
+    else:
+        if args.edges is None:
+            raise ParseError("trees need --edges")
+        if args.edges < 0 or args.edges % 2 != 0:
+            raise ParseError("--edges must be even and nonnegative")
+        n = args.edges // 2
+        _refuse_letters(family, 2 * n, n, 4 * n)  # 4n paren letters per tree
+        return eventree.enumerate_even_trees(args.edges), "tree"
+    _refuse_letters(family, i, j, letters)
+    paths = lattice.enumerate_paths(i, j)
+    if family == "paths":
+        return paths, "path"
+    folds = map(matching.path_to_matching, paths)
+    return sorted(folds, key=lambda m: m.edges), "m,edges"
 
 
 def cmd_enum(args: argparse.Namespace) -> int:
@@ -395,11 +378,12 @@ def build_parser() -> argparse.ArgumentParser:
         "enum",
         help="print a family, one object per line",
         description=(
-            "Print every object of a family, one per line.  The whole family"
-            " is built first, so paths and trees are limited to"
+            "Print every object of a family, one per line.  Matchings are"
+            " listed by folding the paths to the same cell.  The whole family"
+            " is built first, so each family is limited to"
             f" {ENUM_MAX_LETTERS} letters in all (family size x letters per"
-            f" object), and matchings to --i <= {MAP_MAX_POINTS} points and"
-            f" an oracle work bound of at most {ENUM_MATCHINGS_MAX_WORK}."
+            " object), and matchings also to"
+            f" --i <= {MAP_MAX_POINTS} points."
         ),
     )
     p_enum.add_argument("family", choices=("paths", "matchings", "trees"))

@@ -36,7 +36,9 @@ membership: it refolds the matching with the same lift rule
 to explain a rejection.
 
 enumerate_matchings is a deliberately naive brute force, so that it can
-serve as an independent oracle for the bijection.  It makes one flat pass
+serve as an independent oracle for the bijection: verify and the tests
+compare it with the fold's images, while the CLI's `enum matchings` lists
+the class by folding the paths instead.  It makes one flat pass
 per choice of covered points, drawn from the window the class rule leaves
 them: it lists each point's admissible partners once, pairs the points
 depth first on an explicit stack through those lists only, and so never

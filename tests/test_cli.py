@@ -371,23 +371,21 @@ def test_enum_refuses_matchings_past_the_point_limit(capsys, points, j):
     assert err == f"error: {limit}\n"
 
 
-@pytest.mark.parametrize("j", [0, 1])
-def test_enum_refuses_matchings_past_the_work_bound(capsys, j):
-    argv = ["enum", "matchings", "--i", str(cli.MAP_MAX_POINTS), "--j", str(j)]
+def test_enum_matchings_at_the_point_limit_read_the_letter_limit(capsys):
+    argv = ["enum", "matchings", "--i", str(cli.MAP_MAX_POINTS), "--j", "1"]
     start = time.perf_counter()
     code, out, err = run(capsys, argv)
     assert time.perf_counter() - start < 1
     assert code == 3 and out == ""
-    bound = "oracle work bound, covered sets x pairings x word length^3"
-    assert f"{bound}, is at most {cli.ENUM_MATCHINGS_MAX_WORK}\n" in err
+    limit = f"is limited to {cli.ENUM_MAX_LETTERS} letters in all"
+    assert err == f"error: enum matchings {limit} (family size x letters per object)\n"
+    argv[-1] = "0"
+    assert run(capsys, argv) == (0, f'{{"m":{cli.MAP_MAX_POINTS},"edges":[]}}\n', "")
 
 
-def test_enum_accepts_every_matching_cell_up_to_14_points():
-    assert all(
-        cli._matching_work(i, j) <= cli.ENUM_MATCHINGS_MAX_WORK
-        for i in range(15)
-        for j in range(i // 2 + 1)
-    )
+def test_enum_lists_matching_cells_past_the_old_oracle_work_bound(capsys):
+    lines = _lines(capsys, ["enum", "matchings", "--i", "15", "--j", "7"])
+    assert len(lines) == 21318 == lattice.lattice_poly(15, 7).eval_at_one()
 
 
 @pytest.mark.parametrize(
@@ -411,16 +409,39 @@ def test_enum_refuses_paths_and_trees_past_the_letter_limit(capsys, argv):
 
 def test_enum_letter_limit_reads_the_family_size(capsys, monkeypatch):
     """Paths are refused exactly when their count, read from the DP at x = 1,
-    times the path length passes the limit, and trees when catalan3 times
+    times the path length passes the limit, matchings when the same count
+    times a bound on their JSON line does, and trees when catalan3 times
     their paren letters does."""
-    monkeypatch.setattr(cli, "ENUM_MAX_LETTERS", 2000)
+    def line_bound(i, j):
+        d = len(str(i))
+        return 17 + d + j * (4 + 2 * d)
+
+    for i in range(15):
+        for j in range(i // 2 + 1):
+            for m in matching.enumerate_matchings(i, j):
+                assert len(cli._line(m, "json")) <= line_bound(i, j), (i, j)
+
+    def refused(argv, limit):
+        monkeypatch.setattr(cli, "ENUM_MAX_LETTERS", limit)
+        return run(capsys, ["enum", *argv])[0] == 3
+
+    # Up to i = 12 and 10 edges, the total itself is the edge: accepted at
+    # it, refused one letter below.
     for i, j, p in lattice.lattice_table(40):
-        code = run(capsys, ["enum", "paths", "--i", str(i), "--j", str(j)])[0]
-        assert code == (3 if p.eval_at_one() * (i + j) > 2000 else 0), (i, j)
+        cell = ["--i", str(i), "--j", str(j)]
+        for family, letters in (("paths", i + j), ("matchings", line_bound(i, j))):
+            total = p.eval_at_one() * letters
+            argv = [family, *cell]
+            assert refused(argv, 2000) == (total > 2000), (family, i, j)
+            if i <= 12 and total:
+                assert not refused(argv, total), (family, i, j)
+                assert refused(argv, total - 1), (family, i, j)
     for edges in range(0, 41, 2):
-        code = run(capsys, ["enum", "trees", "--edges", str(edges)])[0]
-        letters = lattice.catalan3(edges // 2) * 2 * edges
-        assert code == (3 if letters > 2000 else 0), edges
+        total = lattice.catalan3(edges // 2) * 2 * edges
+        argv = ["trees", "--edges", str(edges)]
+        assert refused(argv, 2000) == (total > 2000), edges
+        if edges <= 10 and total:
+            assert not refused(argv, total) and refused(argv, total - 1), edges
 
 
 def _lines(capsys, argv):
@@ -442,15 +463,20 @@ def test_map_and_enum_print_the_same_line_for_the_same_object(capsys, fmt):
     def matching_text(path):
         return json.dumps(matching.matching_to_json(matching.path_to_matching(path)))
 
-    for i in range(9):
+    for i in range(13):
         for j in range(i // 2 + 1):
-            paths = lattice.enumerate_paths(i, j)
             cell = ["--i", str(i), "--j", str(j)]
+            # enum lists the folds of the paths; the oracle shares no code with them.
+            members = matching.enumerate_matchings(i, j)
+            lines = enumerated("matchings", *cell)
+            assert lines == [cli._line(m, fmt) for m in members]
+            if i > 8:
+                continue
+            paths = lattice.enumerate_paths(i, j)
             assert enumerated("paths", *cell) == [
                 mapped("matching-to-path", matching_text(p)) for p in paths
             ]
-            members = matching.enumerate_matchings(i, j)
-            assert enumerated("matchings", *cell) == [
+            assert lines == [
                 mapped("path-to-matching", matching.matching_to_path(m))
                 for m in members
             ]
