@@ -371,16 +371,18 @@ def test_enum_refuses_matchings_past_the_point_limit(capsys, points, j):
     assert err == f"error: {limit}\n"
 
 
-def test_enum_matchings_at_the_point_limit_read_the_letter_limit(capsys):
-    argv = ["enum", "matchings", "--i", str(cli.MAP_MAX_POINTS), "--j", "1"]
+@pytest.mark.parametrize("j", [0, 1])
+def test_enum_matchings_at_the_point_limit_read_the_letter_limit(capsys, j):
+    argv = ["enum", "matchings", "--i", str(cli.MAP_MAX_POINTS), "--j", str(j)]
     start = time.perf_counter()
     code, out, err = run(capsys, argv)
     assert time.perf_counter() - start < 1
+    if j == 0:
+        assert (code, out, err) == (0, f'{{"m":{cli.MAP_MAX_POINTS},"edges":[]}}\n', "")
+        return
     assert code == 3 and out == ""
     limit = f"is limited to {cli.ENUM_MAX_LETTERS} letters in all"
     assert err == f"error: enum matchings {limit} (family size x letters per object)\n"
-    argv[-1] = "0"
-    assert run(capsys, argv) == (0, f'{{"m":{cli.MAP_MAX_POINTS},"edges":[]}}\n', "")
 
 
 def test_enum_lists_matching_cells_past_the_old_oracle_work_bound(capsys):
