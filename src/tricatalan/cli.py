@@ -27,11 +27,13 @@ TEXT_TABLE_MAX_I = 200
 # functions take any size.
 MAP_MAX_POINTS = 10**6
 # enum builds the whole family before the first line: at most this many
-# letters in all, the family's size times the letters of one printed object.
+# letters in all, the family's size times the letters of one object, which
+# for a matching are those of the path folded into it plus its JSON line.
 # Every size is one ballot count (see _refuse_letters).  Paths to (20, 10),
 # 4.3 * 10^7 letters, took 4.0 s at a 146 MB peak; trees with 18 edges,
-# 8.9 * 10^6 letters, 2.0 s at 87 MB; the largest matching family accepted,
-# 198,162 lines at (106, 3), 3.5 s at 131 MB (Python 3.11, 2 CPUs).
+# 8.9 * 10^6 letters, 2.0 s at 87 MB.  Of the accepted matching cells,
+# (3145, 1) has the most letters, 9.99 * 10^6, 1.1-1.8 s at 25 MB, and
+# (20, 6) the most edges, 592,020, 2.3-2.9 s at 86 MB (Python 3.11, 2 CPUs).
 ENUM_MAX_LETTERS = 10**7
 # verify's closed-form checks grow faster than cubically with --max-n:
 # --max-n 500 ran in 13 s at a 110 MB peak (Python 3.11, 2 CPUs), 600 in
@@ -262,9 +264,10 @@ def _enum_objects(args: argparse.Namespace) -> tuple[list, str]:
             raise DomainError(
                 f"enum matchings is limited to --i <= {MAP_MAX_POINTS} points"
             )
+        # The path of i + j steps that is folded, then the printed line
         # {"m":i,"edges":[[a,b],...]} with every number of at most d digits.
         d = len(str(i))
-        letters = 17 + d + j * (4 + 2 * d)
+        letters = i + j + 17 + d + j * (4 + 2 * d)
     else:
         if args.edges is None:
             raise ParseError("trees need --edges")
@@ -382,7 +385,8 @@ def build_parser() -> argparse.ArgumentParser:
             " listed by folding the paths to the same cell.  The whole family"
             " is built first, so each family is limited to"
             f" {ENUM_MAX_LETTERS} letters in all (family size x letters per"
-            " object), and matchings also to"
+            " object, a matching's counted with the path it folds from), and"
+            " matchings also to"
             f" --i <= {MAP_MAX_POINTS} points."
         ),
     )

@@ -409,11 +409,24 @@ def test_enum_refuses_paths_and_trees_past_the_letter_limit(capsys, argv):
     assert err == f"error: enum {argv[0]} {limit} (family size x letters per object)\n"
 
 
+@pytest.mark.parametrize("points, j", [(99999, 1), (600, 2)])
+def test_enum_refuses_matchings_whose_paths_pass_the_letter_limit(capsys, points, j):
+    """The paths folded into a family count toward its letters: (99999, 1)
+    has short lines but 99,998 paths of 100,000 steps."""
+    start = time.perf_counter()
+    argv = ["enum", "matchings", "--i", str(points), "--j", str(j)]
+    code, out, err = run(capsys, argv)
+    assert time.perf_counter() - start < 1
+    assert code == 3 and out == ""
+    limit = f"is limited to {cli.ENUM_MAX_LETTERS} letters in all"
+    assert err == f"error: enum matchings {limit} (family size x letters per object)\n"
+
+
 def test_enum_letter_limit_reads_the_family_size(capsys, monkeypatch):
     """Paths are refused exactly when their count, read from the DP at x = 1,
     times the path length passes the limit, matchings when the same count
-    times a bound on their JSON line does, and trees when catalan3 times
-    their paren letters does."""
+    times the path length plus a bound on their JSON line does, and trees
+    when catalan3 times their paren letters does."""
     def line_bound(i, j):
         d = len(str(i))
         return 17 + d + j * (4 + 2 * d)
@@ -431,8 +444,9 @@ def test_enum_letter_limit_reads_the_family_size(capsys, monkeypatch):
     # it, refused one letter below.
     for i, j, p in lattice.lattice_table(40):
         cell = ["--i", str(i), "--j", str(j)]
-        for family, letters in (("paths", i + j), ("matchings", line_bound(i, j))):
-            total = p.eval_at_one() * letters
+        letters = {"paths": i + j, "matchings": i + j + line_bound(i, j)}
+        for family in letters:
+            total = p.eval_at_one() * letters[family]
             argv = [family, *cell]
             assert refused(argv, 2000) == (total > 2000), (family, i, j)
             if i <= 12 and total:
