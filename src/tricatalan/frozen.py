@@ -4,25 +4,20 @@ A record's fields are its instance attributes, in the order they were set.
 Record derives from them the dataclass-style repr, ClassName(f=..., g=...),
 and equality by field values with objects of the same class; records stay
 mutable and unhashable.  Frozen refuses every assignment and deletion with
-AttributeError, and gives each subclass two methods written for its own
-fields: _trusted, which builds an instance from values in the order of the
-class's field annotations without running __init__ and its checks, and
-__hash__, the hash of the tuple of field values.
+AttributeError, and gives every subclass the same two methods, which read
+the class's field names in the order of its annotations: _trusted, which
+builds an instance from values in that order without running __init__ and
+its checks, and __hash__, the hash of the tuple of field values.
 
-Those two are compiled once per class, when the class statement runs
-(Frozen.__init_subclass__), from source text in the way dataclasses and
-namedtuple build their methods: _trusted takes one parameter per field and
-stores each straight into the new instance's __dict__, and __hash__ hashes
-the fields read by name, so neither loops over zip or vars() per object.
-The source holds nothing but the field names, which are the annotation
-keys of a class body and so identifiers, spelled as parameter names and as
-string literals.  Its own names start with two underscores and do not end
-with two; Python mangles such a name in a class body (__x becomes
-_Class__x), so no field annotation can spell one of them.
+Frozen keeps each subclass's field names under the mangled name
+_Frozen__fields, which a field annotation in a subclass body, itself
+mangled there, does not spell.
 
 These are plain classes rather than dataclasses, so `import tricatalan`
 loads neither dataclasses nor inspect.
 """
+
+from __future__ import annotations
 
 
 class Record:
@@ -36,7 +31,7 @@ class Record:
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return vars(self) == vars(other)
+        return self.__dict__ == other.__dict__
 
 
 class Frozen(Record):
@@ -49,23 +44,23 @@ class Frozen(Record):
 
     def __init_subclass__(cls, **kwargs: object) -> None:
         super().__init_subclass__(**kwargs)
-        fields = tuple(cls.__annotations__)
-        stores = "".join(f"    __d[{f!r}] = {f}\n" for f in fields)
-        values = "".join(f"__d[{f!r}], " for f in fields)
-        source = (
-            f"def _trusted(__cls, {''.join(f + ', ' for f in fields)}):\n"
-            "    __self = __new(__cls)\n"
-            "    __d = __self.__dict__\n"
-            f"{stores}"
-            "    return __self\n"
-            "def __hash__(__self):\n"
-            "    __d = __self.__dict__\n"
-            f"    return hash(({values}))\n"
-        )
-        namespace: dict[str, object] = {"__new": object.__new__}
-        exec(compile(source, f"<Frozen {cls.__qualname__}>", "exec"), namespace)
-        cls._trusted = classmethod(namespace["_trusted"])
-        cls.__hash__ = namespace["__hash__"]
+        cls.__fields = tuple(cls.__annotations__)
+
+    @classmethod
+    def _trusted(cls, *values: object) -> Frozen:
+        fields = cls.__fields
+        if len(values) != len(fields):
+            raise TypeError(
+                f"{cls.__name__}._trusted takes {len(fields)} values, got {len(values)}"
+            )
+        self = object.__new__(cls)
+        d = self.__dict__
+        for name, value in zip(fields, values):
+            d[name] = value
+        return self
+
+    def __hash__(self) -> int:
+        return hash(tuple(self.__dict__.values()))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")

@@ -55,15 +55,17 @@ _contains_12312 assigns letters 1 and 2 by two nested for loops and gives
 letter 3, which occurs once in the pattern, the leftmost value that can
 follow them, in the same scan that tests the whole pattern.  The oracle
 hands it each candidate directly, with the candidate's opener positions
-as the values; tests/test_matching.py checks it against contains_pattern, a
-naive matcher and a backtracker.  The oracle shares no code with
-shift/lift, _lift_positions, the folds or contains_forbidden, and takes no
-shortcut through the arc criterion: nothing in it knows which pair a lift
-joins, so its agreement with the fold's images checks the bijection rather
-than restating it.  Each edge's counts come from a prefix count of the
-isolated points, and the class rule is tested inline, as the partners are
-listed, by the two comparisons of _edge_violation, which
-admissibility_violation applies with its messages.
+as the values; tests/test_matching.py checks it against contains_pattern,
+a naive matcher and a backtracker.  An edgeless cell is answered without a
+search: its one word is 1..m then m..1, in which any two values a < b read
+a, b, b, a, so none spell the 1, 2, ..., 1, 2 of the pattern.  The oracle
+shares no code with shift/lift, _lift_positions, the folds or
+contains_forbidden, and takes no shortcut through the arc criterion:
+nothing in it knows which pair a lift joins, so its agreement with the
+fold's images checks the bijection rather than restating it.  Each edge's
+counts come from a prefix count of the isolated points, and the class rule
+is tested inline, as the partners are listed, by the two comparisons of
+_edge_violation, which admissibility_violation applies with its messages.
 test_pruned_pairings_are_the_admissible_pairings_in_order
 (tests/test_matching.py) pins the oracle's pruning to
 admissibility_violation for every covered set with m <= 10, so the two
@@ -401,10 +403,15 @@ def enumerate_matchings(points: int, edge_count: int) -> list[PartialMatching]:
     of its edges, when the search finds no 1,2,3,1,2.  Order is
     lexicographic on the sorted edge list.  Every pairing built here is
     sorted, disjoint and inside 1..points, so the results are wrapped
-    without the constructor's checks.
+    without the constructor's checks.  A cell with no edge is answered
+    without a search: its one word is 1..points then points..1, in which
+    any two values a < b read a, b, b, a and so cannot spell the pattern's
+    1, 2, ..., 1, 2.
     """
     if points < 0 or edge_count < 0 or 2 * edge_count > points:
         raise ValueError(f"need 0 <= 2*{edge_count} <= {points}")
+    if not edge_count:
+        return [PartialMatching._trusted(points, ())]
     size = 2 * edge_count
     free_count = points - size
     search = _contains_12312

@@ -349,7 +349,11 @@ def test_pruned_pairings_are_the_admissible_pairings_in_order(monkeypatch):
                 assert values == sorted(set(seq))
                 labels = {}
                 seen.append(tuple(labels.setdefault(v, len(labels) + 1) for v in seq))
-            assert seen == [completed_sequence(PartialMatching(m, e)) for e in want]
+            if size:
+                assert seen == [completed_sequence(PartialMatching(m, e)) for e in want]
+            else:
+                # An edgeless cell is answered without a search.
+                assert seen == [] and got == [PartialMatching(m)]
             assert [pm.edges for pm in got] == sorted(want)
 
 
@@ -372,15 +376,26 @@ def test_oracle_search_is_the_generic_matcher_on_the_forbidden_pattern(monkeypat
                 assert _naive_contains(w, FORBIDDEN_PATTERN) == want, w
             found += want
         assert found == hits, size
-    # Every word the oracle searches for m <= 12.
+    # Every word the oracle searches for m <= 12: none at edge count 0.
     calls = []
     _record_oracle_words(monkeypatch, calls)
     for m in range(13):
         for size in range(0, m + 1, 2):
             enumerate_matchings(m, size // 2)
-    assert len(calls) == 33120
+    assert len(calls) == 33107
     for seq, values in calls:
         assert search(seq, values) == contains_pattern(seq, FORBIDDEN_PATTERN), seq
+
+
+def test_edgeless_cells_are_answered_without_a_search(monkeypatch):
+    # The one word of an edgeless cell, 1..m then m..1, cannot hold the
+    # pattern, so the search is never called, even on 3,000 points.
+    def search(seq, values):
+        raise AssertionError("searched an edgeless word")
+
+    monkeypatch.setattr(matching, "_contains_12312", search)
+    for m in (*range(13), 3000):
+        assert enumerate_matchings(m, 0) == [PartialMatching(m)]
 
 
 def test_covered_points_lie_in_the_oracle_window():

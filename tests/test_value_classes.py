@@ -1,5 +1,6 @@
 """The value classes are plain classes that behave as frozen records."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import tricatalan
-from tricatalan import EvenTree, PartialMatching, Poly, tree_from_paren
+from tricatalan import EvenTree, PartialMatching, Poly, frozen, tree_from_paren
 from tricatalan.frozen import Frozen
 from tricatalan.verify import CheckResult, VerifyReport, run_verify
 
@@ -81,8 +82,9 @@ def test_trusted_matches_the_validated_constructor(value, validated):
 
 
 def test_trusted_and_hash_are_written_for_each_class():
-    # Fields named cls and value, names that a method's own parameters and
-    # locals often take: the compiled _trusted and __hash__ must not clash.
+    # Fields named cls and value, the names of _trusted's own parameter and
+    # loop variable: Frozen's one _trusted and __hash__ read each class's
+    # field names as data, so no field name can clash with them.
     class Sample(Frozen):
         value: int
         cls: str
@@ -105,6 +107,23 @@ def test_trusted_and_hash_are_written_for_each_class():
     with pytest.raises(AttributeError, match="cannot assign"):
         x.cls = "d"
     assert x.cls == "c"
+
+
+def test_the_package_generates_no_code():
+    # No module calls exec, eval or compile, and the value classes' methods
+    # are module code, visible to profilers and coverage.
+    calls = []
+    for path in sorted(Path(tricatalan.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id in {"exec", "eval", "compile"}
+            ):
+                calls.append(f"{path.name}:{node.lineno} {node.func.id}")
+    assert calls == []
+    for method in (Poly._trusted, PartialMatching._trusted, EvenTree.__hash__):
+        assert method.__code__.co_filename == frozen.__file__
 
 
 def test_report_records_compare_by_value_and_stay_mutable():
