@@ -22,6 +22,7 @@ from .eventree import (
     tree_to_path,
 )
 from .lattice import (
+    ballot,
     catalan3,
     catalan3_coeff,
     descent_poly,
@@ -72,6 +73,7 @@ __all__ = [
     "tree_shift",
     "tree_to_json",
     "tree_to_path",
+    "ballot",
     "catalan3",
     "catalan3_coeff",
     "descent_poly",

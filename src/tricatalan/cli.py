@@ -29,7 +29,7 @@ MAP_MAX_POINTS = 10**6
 # enum builds the whole family before the first line: at most this many
 # letters in all, the family's size times the letters of one object, which
 # for a matching are those of the path folded into it plus its JSON line.
-# Every size is one ballot count (see _refuse_letters).  Paths to (20, 10),
+# Every size is one ballot count (see lattice.ballot).  Paths to (20, 10),
 # 4.3 * 10^7 letters, took 4.0 s at a 146 MB peak; trees with 18 edges,
 # 8.9 * 10^6 letters, 2.0 s at 87 MB.  Of the accepted matching cells,
 # (3145, 1) has the most letters, 9.99 * 10^6, 1.1-1.8 s at 25 MB, and
@@ -220,21 +220,11 @@ def cmd_map(args: argparse.Namespace) -> int:
 
 
 def _refuse_letters(family: str, i: int, j: int, letters: int) -> None:
-    """Refuse a family of b(i, j) objects of `letters` letters each when it
-    has more than ENUM_MAX_LETTERS letters in all.  By the cycle lemma,
-    b(i, j) = (i - 2j + 1) / (i + j + 1) * C(i + j + 1, j) counts the paths
-    to (i, j), and so the matchings with i points and j edges; the trees
-    with 2n edges are b(2n, n) = catalan3(n).  C(i + j + 1, j) is built from
-    the partial products C(i + 1 + t, t), t = 1..j, which never decrease
-    and, as j <= i + 1, are each at least 2^t, so the loop stops once one
-    passes what the limit allows, within about log2 of that at any size."""
-    cap = ENUM_MAX_LETTERS * (i + j + 1)
-    comb = 1
-    for t in range(1, j + 1):
-        comb = comb * (i + 1 + t) // t
-        if comb > cap:
-            break
-    if (i - 2 * j + 1) * comb * letters > cap:
+    """Refuse a family of lattice.ballot(i, j) objects of `letters` letters
+    each when it has more than ENUM_MAX_LETTERS letters in all.  The count is
+    capped at what the limit allows, so even a 10^30 size is refused at once."""
+    size = lattice.ballot(i, j, ENUM_MAX_LETTERS // letters) if letters else 0
+    if size * letters > ENUM_MAX_LETTERS:
         raise DomainError(
             f"enum {family} is limited to {ENUM_MAX_LETTERS} letters in all"
             " (family size x letters per object)"

@@ -13,6 +13,9 @@ previous column and the one being built, as plain coefficient tuples, so
 its memory is bounded by two columns and it uses no recursion and no cache.
 lattice_poly, lattice_columns and lattice_table all read from it.
 
+ballot(i, j) counts the paths to (i, j) by the cycle lemma's closed form,
+which does not use the DP; catalan3 and enum's letter limit both read it.
+
 Every odd-column cell L(2m+1, j) is a palindrome of degree j: x >= 2y binds
 only at the end of each column pair (2s, 2s+1), so swapping the north-step
 counts of columns 2s and 2s+1 turns weight k into j - k.  The DP does not
@@ -152,11 +155,37 @@ def _exact_div(numerator: int, divisor: int, what: str) -> int:
     return q
 
 
+def ballot(i: int, j: int, cap: int | None = None) -> int:
+    """Number b(i, j) of paths from the origin to (i, j); 0 off the region.
+
+    By the cycle lemma, b(i, j) = (i - 2j + 1) / (i + j + 1) * C(i + j + 1, j)
+    counts the paths to (i, j), and so the matchings with i points and j
+    edges; the trees with 2n edges are b(2n, n) = catalan3(n).
+    C(i + j + 1, j) is built from the partial products C(i + 1 + t, t),
+    t = 1..j, which never decrease and, as j <= i + 1, are each at least
+    2^t.  With a cap, the loop stops once one passes cap * (i + j + 1),
+    which proves b(i, j) > cap, and returns cap + 1: within about log2 of
+    that many steps at any size.  A count of at most the cap, and every
+    count without one, is exact.
+    """
+    if cap is not None and cap < 0:
+        raise ValueError("cap must be nonnegative")
+    if i < 0 or j < 0 or i < 2 * j:
+        return 0
+    limit = None if cap is None else cap * (i + j + 1)
+    partial = 1
+    for t in range(1, j + 1):
+        partial = partial * (i + 1 + t) // t
+        if limit is not None and partial > limit:
+            return cap + 1
+    return _exact_div((i - 2 * j + 1) * partial, i + j + 1, f"ballot({i},{j})")
+
+
 def catalan3(n: int) -> int:
-    """3-Catalan number: C(3n, n) / (2n + 1)."""
+    """3-Catalan number b(2n, n) = C(3n, n) / (2n + 1): the paths to (2n, n)."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return _exact_div(comb(3 * n, n), 2 * n + 1, f"catalan3({n})")
+    return ballot(2 * n, n)
 
 
 def catalan3_coeff(n: int, k: int) -> int:

@@ -1,12 +1,17 @@
 import sys
+import time
 import tracemalloc
 from itertools import product
+from math import comb
 
 import pytest
 
+import tricatalan
+from tricatalan import lattice
 from tricatalan.errors import ParseError
 from tricatalan.eventree import path_to_tree
 from tricatalan.lattice import (
+    ballot,
     catalan3,
     catalan3_coeff,
     descent_poly,
@@ -132,6 +137,60 @@ def test_catalan3_values():
     assert [catalan3(n) for n in range(8)] == [1, 1, 3, 12, 55, 273, 1428, 7752]
     with pytest.raises(ValueError):
         catalan3(-1)
+
+
+def test_catalan3_is_the_closed_binomial_form():
+    # The closed form typed again here, so catalan3 is pinned to a route
+    # that does not pass through lattice.ballot.
+    for n in range(300):
+        q, r = divmod(comb(3 * n, n), 2 * n + 1)
+        assert r == 0 and catalan3(n) == q, n
+
+
+def test_exact_div_names_an_inexact_division():
+    assert lattice._exact_div(12, 4, "twelve") == 3
+    with pytest.raises(ArithmeticError, match=r"^thirteen: division by 4 is not exact$"):
+        lattice._exact_div(13, 4, "thirteen")
+
+
+def test_ballot_counts_the_enumerated_paths():
+    for i in range(15):
+        for j in range(i // 2 + 1):
+            assert ballot(i, j) == len(enumerate_paths(i, j)), (i, j)
+
+
+def test_ballot_is_the_table_at_one():
+    for i, column in enumerate(lattice_columns(120)):
+        for j, coeffs in enumerate(column):
+            assert ballot(i, j) == sum(coeffs), (i, j)
+
+
+def test_ballot_is_zero_off_the_region():
+    for i in range(-3, 20):
+        for j in range(-3, 12):
+            if i < 0 or j < 0 or i < 2 * j:
+                assert ballot(i, j) == 0 and ballot(i, j, 5) == 0, (i, j)
+
+
+def test_capped_ballot_is_exact_up_to_the_cap():
+    for i in range(31):
+        for j in range(i // 2 + 1):
+            b = ballot(i, j)
+            for cap in (b - 1, b, b + 1):
+                capped = ballot(i, j, cap)
+                assert (capped == b) if b <= cap else (capped > cap), (i, j, cap)
+    with pytest.raises(ValueError):
+        ballot(2, 1, -1)
+
+
+def test_capped_ballot_stops_early_at_any_size():
+    start = time.perf_counter()
+    assert ballot(10**30, 10**29, 10**7) > 10**7
+    assert time.perf_counter() - start < 0.5
+
+
+def test_ballot_is_exported():
+    assert tricatalan.ballot is ballot and "ballot" in tricatalan.__all__
 
 
 def test_catalan3_coeff_values():
