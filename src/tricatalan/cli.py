@@ -26,14 +26,15 @@ TEXT_TABLE_MAX_I = 200
 # point; larger ones are refused before that work starts.  The library
 # functions take any size.
 MAP_MAX_POINTS = 10**6
-# enum builds the whole family before the first line: at most this many
-# letters in all, the family's size times the letters of one object, which
-# for a matching are those of the path folded into it plus its JSON line.
-# Every size is one ballot count (see lattice.ballot).  Paths to (20, 10),
-# 4.3 * 10^7 letters, took 4.0 s at a 146 MB peak; trees with 18 edges,
-# 8.9 * 10^6 letters, 2.0 s at 87 MB.  Of the accepted matching cells,
-# (3145, 1) has the most letters, 9.99 * 10^6, 1.1-1.8 s at 25 MB, and
-# (20, 6) the most edges, 592,020, 2.3-2.9 s at 86 MB (Python 3.11, 2 CPUs).
+# cmd_enum builds the whole family before the first line, and refuses one
+# of more than this many letters in all: the family's size times the letters
+# of one object, which for a matching are those of the path folded into it
+# plus its JSON line.  Every size is one ballot count (see lattice.ballot).
+# Paths to (20, 10), 4.3 * 10^7 letters, took 4.0 s at a 146 MB peak; trees
+# with 18 edges, 8.9 * 10^6 letters, 2.0 s at 87 MB.  Of the accepted
+# matching cells, (3145, 1) has the most letters, 9.99 * 10^6, 1.1-1.8 s at
+# 25 MB, and (20, 6) the most edges, 592,020, 2.3-2.9 s at 86 MB (Python
+# 3.11, 2 CPUs).
 ENUM_MAX_LETTERS = 10**7
 # verify's closed-form checks grow faster than cubically with --max-n:
 # --max-n 500 ran in 13 s at a 110 MB peak (Python 3.11, 2 CPUs), 600 in
@@ -219,68 +220,57 @@ def cmd_map(args: argparse.Namespace) -> int:
     return 0
 
 
-def _refuse_letters(family: str, i: int, j: int, letters: int) -> None:
-    """Refuse a family of lattice.ballot(i, j) objects of `letters` letters
-    each when it has more than ENUM_MAX_LETTERS letters in all.  The count is
-    capped at what the limit allows, so even a 10^30 size is refused at once."""
+def cmd_enum(args: argparse.Namespace) -> int:
+    """Resolve the family to one lattice cell (i, j), check it and size it
+    once, then build and print it.  Trees with 2n edges sit at (2n, n), and
+    every family's size is the ballot count b(i, j).  Matchings are the folds
+    of the paths to the same cell, sorted by edge list: the class and the
+    order of enumerate_matchings, the brute-force oracle that verify compares
+    with the fold."""
+    family = args.family
+    if family == "trees":
+        if args.edges is None:
+            raise ParseError("trees need --edges")
+        if args.edges < 0 or args.edges % 2 != 0:
+            raise ParseError("--edges must be even and nonnegative")
+        i, j = args.edges, args.edges // 2
+        letters = 2 * i  # 4n paren letters per tree
+    else:
+        i, j = args.i, args.j
+        if i is None or j is None:
+            raise ParseError(f"{family} need --i and --j")
+        if not 0 <= 2 * j <= i:
+            raise ParseError(f"position ({i},{j}) must satisfy 0 <= 2j <= i")
+        letters = i + j
+        if family == "matchings":
+            if i > MAP_MAX_POINTS:
+                raise DomainError(
+                    f"enum matchings is limited to --i <= {MAP_MAX_POINTS} points"
+                )
+            # The path of i + j steps that is folded, then the printed line
+            # {"m":i,"edges":[[a,b],...]} with every number of at most d digits.
+            d = len(str(i))
+            letters += 17 + d + j * (4 + 2 * d)
+    # The count is capped at what the limit allows, so even a 10^30 size is
+    # refused at once; a family of empty objects is never refused.
     size = lattice.ballot(i, j, ENUM_MAX_LETTERS // letters) if letters else 0
     if size * letters > ENUM_MAX_LETTERS:
         raise DomainError(
             f"enum {family} is limited to {ENUM_MAX_LETTERS} letters in all"
             " (family size x letters per object)"
         )
-
-
-def _enum_objects(args: argparse.Namespace) -> tuple[list, str]:
-    """Validate bounds, refuse a family past its limit before any of it is
-    built, and return (objects, csv header).  Matchings are the folds of the
-    paths to the same cell, sorted by edge list: the class and the order of
-    enumerate_matchings, the brute-force oracle that verify compares with
-    the fold."""
-    family = args.family
-    i, j = args.i, args.j
-    if family == "paths":
-        if i is None or j is None:
-            raise ParseError("paths need --i and --j")
-        if i < 0 or j < 0 or i < 2 * j:
-            raise ParseError(f"position ({i},{j}) must satisfy 0 <= 2j <= i")
-        letters = i + j
-    elif family == "matchings":
-        if i is None or j is None:
-            raise ParseError("matchings need --i (points) and --j (edges)")
-        if i < 0 or j < 0 or 2 * j > i:
-            raise ParseError(f"need 0 <= 2*{j} <= {i}")
-        if i > MAP_MAX_POINTS:
-            raise DomainError(
-                f"enum matchings is limited to --i <= {MAP_MAX_POINTS} points"
-            )
-        # The path of i + j steps that is folded, then the printed line
-        # {"m":i,"edges":[[a,b],...]} with every number of at most d digits.
-        d = len(str(i))
-        letters = i + j + 17 + d + j * (4 + 2 * d)
+    if family == "trees":
+        objects, header = eventree.enumerate_even_trees(i), ["tree"]
+    elif family == "paths":
+        objects, header = lattice.enumerate_paths(i, j), ["path"]
     else:
-        if args.edges is None:
-            raise ParseError("trees need --edges")
-        if args.edges < 0 or args.edges % 2 != 0:
-            raise ParseError("--edges must be even and nonnegative")
-        n = args.edges // 2
-        _refuse_letters(family, 2 * n, n, 4 * n)  # 4n paren letters per tree
-        return eventree.enumerate_even_trees(args.edges), "tree"
-    _refuse_letters(family, i, j, letters)
-    paths = lattice.enumerate_paths(i, j)
-    if family == "paths":
-        return paths, "path"
-    folds = map(matching.path_to_matching, paths)
-    return sorted(folds, key=lambda m: m.edges), "m,edges"
-
-
-def cmd_enum(args: argparse.Namespace) -> int:
-    objects, csv_header = _enum_objects(args)
+        folds = map(matching.path_to_matching, lattice.enumerate_paths(i, j))
+        objects, header = sorted(folds, key=lambda m: m.edges), ["m", "edges"]
     if args.format == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(csv_header.split(","))
+        writer.writerow(header)
         for obj in objects:
-            if args.family == "matchings":
+            if family == "matchings":
                 writer.writerow([obj.m, _compact([list(e) for e in obj.edges])])
             else:
                 writer.writerow([_line(obj, "text")])
@@ -371,9 +361,11 @@ def build_parser() -> argparse.ArgumentParser:
         "enum",
         help="print a family, one object per line",
         description=(
-            "Print every object of a family, one per line.  Matchings are"
-            " listed by folding the paths to the same cell.  The whole family"
-            " is built first, so each family is limited to"
+            "Print every object of a family, one per line.  Each family is"
+            " one lattice cell (i, j), trees with 2n edges at (2n, n), and is"
+            " checked and sized once before any of it is built.  Matchings"
+            " are listed by folding the paths to the same cell.  The whole"
+            " family is built first, so each family is limited to"
             f" {ENUM_MAX_LETTERS} letters in all (family size x letters per"
             " object, a matching's counted with the path it folds from), and"
             " matchings also to"
@@ -439,7 +431,3 @@ def main(argv: list[str] | None = None) -> int:
         # The reader closed stdout early (`| head`): a normal stop, not a failure.
         _stdout_to_devnull()
         return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -346,6 +346,33 @@ def test_enum_bounds_violations_exit_2(capsys):
     assert run(capsys, ["enum", "trees"])[0] == 2
 
 
+_BAD_CELLS = [
+    *(
+        ([family, *given], f"{family} need --i and --j")
+        for family in ("paths", "matchings")
+        for given in (["--i", "4"], ["--j", "1"], [])
+    ),
+    *(
+        (
+            [family, "--i", str(i), "--j", str(j)],
+            f"position ({i},{j}) must satisfy 0 <= 2j <= i",
+        )
+        for family in ("paths", "matchings")
+        for i, j in ((1, 1), (3, 2), (-1, 0), (0, -1))
+    ),
+    (["trees"], "trees need --edges"),
+    (["trees", "--edges", "3"], "--edges must be even and nonnegative"),
+    (["trees", "--edges", "-2"], "--edges must be even and nonnegative"),
+]
+
+
+@pytest.mark.parametrize("argv, message", _BAD_CELLS)
+def test_enum_checks_the_cell_once_with_one_message(capsys, argv, message):
+    """Paths and matchings share the check of --i and --j and the region
+    check; trees are checked through --edges."""
+    assert run(capsys, ["enum", *argv]) == (2, "", f"error: {message}\n")
+
+
 def test_enum_csv(capsys):
     code, out, _ = run(
         capsys, ["enum", "matchings", "--i", "4", "--j", "1", "--format", "csv"]
@@ -696,6 +723,35 @@ def test_table_piped_into_head_exits_cleanly():
         proc.kill()
         proc.stderr.close()
     assert head.startswith(b"[[0,0,[1]],[1,0,[1]],")
+    assert code == 0 and err == b""
+
+
+@pytest.mark.parametrize(
+    "argv, start",
+    [
+        (["table", "--max-i", "300", "--format", "json"], b"[[0,0,[1]],"),
+        (["enum", "paths", "--i", "18", "--j", "9"], b'"' + b"E" * 18 + b"N" * 9),
+    ],
+)
+def test_bulk_output_closed_early_through_the_module_entry(argv, start):
+    """`python -m tricatalan` with its stdout closed after the first bytes
+    stops with exit 0 and nothing on stderr."""
+    env = dict(os.environ, PYTHONPATH=str(Path(tricatalan.__file__).parents[1]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "tricatalan", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    head = proc.stdout.read(len(start))
+    proc.stdout.close()
+    try:
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert head == start
     assert code == 0 and err == b""
 
 
