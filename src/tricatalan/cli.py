@@ -226,8 +226,11 @@ def cmd_enum(args: argparse.Namespace) -> int:
     every family's size is the ballot count b(i, j).  Matchings are the folds
     of the paths to the same cell, sorted by edge list: the class and the
     order of enumerate_matchings, the brute-force oracle that verify compares
-    with the fold."""
+    with the fold.  An option of the other family is refused, not ignored."""
     family = args.family
+    for option in ("i", "j") if family == "trees" else ("edges",):
+        if getattr(args, option) is not None:
+            raise ParseError(f"--{option} does not apply to enum {family}")
     if family == "trees":
         if args.edges is None:
             raise ParseError("trees need --edges")
@@ -373,9 +376,9 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     p_enum.add_argument("family", choices=("paths", "matchings", "trees"))
-    p_enum.add_argument("--i", type=int, help="east steps / points")
-    p_enum.add_argument("--j", type=int, help="north steps / edges")
-    p_enum.add_argument("--edges", type=int, help="edge count for trees")
+    p_enum.add_argument("--i", type=int, help="east steps / points (paths, matchings)")
+    p_enum.add_argument("--j", type=int, help="north steps / edges (paths, matchings)")
+    p_enum.add_argument("--edges", type=int, help="edge count (trees)")
     p_enum.add_argument("--format", choices=("text", "json", "csv"), default="json")
     p_enum.set_defaults(func=cmd_enum)
 

@@ -63,14 +63,18 @@ def path_endpoint(path: str) -> tuple[int, int]:
 
 
 def weight_exponent(path: str) -> int:
-    """Number of north steps taken at odd x, i.e. the exponent of the path weight."""
-    x = 0
-    exponent = 0
+    """Number of north steps taken at odd x, i.e. the exponent of the path
+    weight.  Each step is checked as it is read, with parse_path's errors;
+    the step at (x, y) is the one at index x + y."""
+    x = y = exponent = 0
     for ch in path:
         if ch == EAST:
             x += 1
-        elif x % 2 == 1:
-            exponent += 1
+        elif ch == NORTH and x >= 2 * (y + 1):
+            y += 1
+            exponent += x % 2
+        else:
+            raise _step_error(ch, x + y)
     return exponent
 
 

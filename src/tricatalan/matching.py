@@ -38,34 +38,36 @@ to explain a rejection.
 enumerate_matchings is a deliberately naive brute force, so that it can
 serve as an independent oracle for the bijection: verify and the tests
 compare it with the fold's images, while the CLI's `enum matchings` lists
-the class by folding the paths instead.  It makes one flat pass
-per choice of covered points, drawn from the window the class rule leaves
-them: it lists each point's admissible partners once, pairs the points
-depth first on an explicit stack through those lists only, and so never
-takes an edge that breaks the class condition.  It keeps one word
-labelled by opener position, followed by the isolated points in reverse,
-and the sorted list of the word's values, and edits in place only the
-entries of the edge it takes or drops, so at each complete pairing the
-word is an order-isomorphic copy of its completed sequence.  It tests
-that copy with _contains_12312, the search of the generic matcher
-contains_pattern written out for FORBIDDEN_PATTERN: contains_pattern
-assigns increasing values to the pattern's letters one at a time and drops
-a partial assignment as soon as it cannot spell a subsequence, and
-_contains_12312 assigns letters 1 and 2 by two nested for loops and gives
-letter 3, which occurs once in the pattern, the leftmost value that can
-follow them, in the same scan that tests the whole pattern.  The oracle
-hands it each candidate directly, with the candidate's opener positions
-as the values; tests/test_matching.py checks it against contains_pattern,
-a naive matcher and a backtracker.  An edgeless cell is answered without a
+the class by folding the paths instead.  For each choice of covered
+points, drawn from the window the class rule leaves them, it pairs the
+points by a recursion over edges: the smallest unpaired point is joined to
+each later one in turn that keeps the class condition, then the rest are
+paired, so it never takes an edge that breaks the condition and goes one
+call deep per edge.  It keeps one word labelled by opener position,
+followed by the isolated points in reverse, and the sorted list of the
+word's values, and edits in place only the entries of the edge it takes,
+restoring them on the way back, so at each complete pairing the word is
+an order-isomorphic copy of its completed sequence.  It tests that copy
+with _contains_12312, the search of the generic matcher contains_pattern
+written out for FORBIDDEN_PATTERN: contains_pattern assigns increasing
+values to the pattern's letters one at a time and drops a partial
+assignment as soon as it cannot spell a subsequence, and _contains_12312
+assigns letters 1 and 2 by two nested for loops and gives letter 3, which
+occurs once in the pattern, the leftmost value that can follow them, in
+the same scan that tests the whole pattern.  The oracle hands it each
+candidate directly, with the candidate's opener positions as the values;
+tests/test_matching.py checks it against contains_pattern, a naive
+matcher and a backtracker.  An edgeless cell is answered without a
 search: its one word is 1..m then m..1, in which any two values a < b read
 a, b, b, a, so none spell the 1, 2, ..., 1, 2 of the pattern.  The oracle
 shares no code with shift/lift, _lift_positions, the folds or
 contains_forbidden, and takes no shortcut through the arc criterion:
 nothing in it knows which pair a lift joins, so its agreement with the
 fold's images checks the bijection rather than restating it.  Each edge's
-counts come from a prefix count of the isolated points, and the class rule
-is tested inline, as the partners are listed, by the two comparisons of
-_edge_violation, which admissibility_violation applies with its messages.
+counts come from the number of isolated points left of each covered
+point, and the class rule is tested inline, as each edge is tried, by the
+two comparisons of _edge_violation, which admissibility_violation applies
+with its messages.
 test_pruned_pairings_are_the_admissible_pairings_in_order
 (tests/test_matching.py) pins the oracle's pruning to
 admissibility_violation for every covered set with m <= 10, so the two
@@ -80,7 +82,7 @@ parse_path's error for the first bad one, so a path is read once.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from itertools import chain, combinations
 
 from .errors import NOT_IN_IMAGE, DomainError, ParseError
@@ -371,7 +373,7 @@ def _sequence(m: int, edges: Sequence[tuple[int, int]]) -> tuple[int, ...]:
 def enumerate_matchings(points: int, edge_count: int) -> list[PartialMatching]:
     """Brute-force oracle: all admissible, pattern-avoiding matchings.
 
-    One flat pass per choice of 2*edge_count covered points, drawn from the
+    One pass per choice of 2*edge_count covered points, drawn from the
     window 1..size + (free + 1) // 2 that the class rule leaves them, where
     size = 2*edge_count and free = points - size.  With B(p) the number of
     isolated points before p, an admissible edge (a, b) has B(b) <= B(a) + 1
@@ -382,19 +384,21 @@ def enumerate_matchings(points: int, edge_count: int) -> list[PartialMatching]:
     covered point is exactly there, so no narrower window is safe; for
     points <= 10 the window cuts the covered sets from 1,024 to 282.
 
-    Per covered set, a prefix count of the isolated points gives each
-    edge's class test its counts by two subtractions, and since the class
-    condition is a condition on each edge alone, each covered point's
-    admissible partners, the later covered points it may be joined to, are
-    listed once.  The pairings are built depth first on an explicit stack,
-    the smallest unpaired point joined to each unpaired point of its list
-    in turn, so an edge that breaks the class condition is never taken.
+    Per covered set, B(p) for the s-th covered point p (from 0) is
+    p - 1 - s, and each edge's class test reads its counts from B by two
+    subtractions.  The pairings are built by a recursion over edges: the
+    smallest unpaired point a is joined to each later unpaired point b in
+    turn, then the points left are paired the same way, so the recursion
+    is one call deep per edge.  An edge that breaks the class condition is
+    never taken; both of its counts, B(b) - B(a) and B(a) - (free - B(b)),
+    grow with b, so the first b that breaks it ends a's turn.
+
     One word, labelled by opener position, is kept per covered set: a at
     the right end of each edge (a, b) taken and p at every other point p,
     followed by the isolated points in reverse, the order of their virtual
     closes; beside it is kept the sorted list of its values, the opener
-    positions.  Taking or dropping an edge rewrites its right end's entry
-    of the word and removes that point from the list or inserts it again.
+    positions.  Taking an edge rewrites its right end's entry of the word
+    and removes that point from the list; returning from it restores both.
     At a complete pairing the word is order-isomorphic to the completed
     sequence, its labels in order of first occurrence renamed to the points
     that open them, so _contains_12312, the search of contains_pattern
@@ -416,70 +420,45 @@ def enumerate_matchings(points: int, edge_count: int) -> list[PartialMatching]:
     free_count = points - size
     search = _contains_12312
     kept: list[tuple[tuple[int, int], ...]] = []
+    taken: list[tuple[int, int]] = []
     line = range(1, points + 1)
+    before = [0] * (points + 1)  # before[p]: isolated points left of covered p
+
+    def pair(a: int, later: list[int]) -> None:
+        # Join a to each point b of later, the unpaired points after it, in
+        # turn while (a, b) keeps _edge_violation's two conditions, then
+        # pair the rest; later is whole again before its next b is read.
+        ba = before[a]
+        last = len(later) == 1
+        for t, b in enumerate(later):
+            if before[b] - ba > 1 or ba > free_count - before[b]:
+                break
+            word[b - 1] = a
+            openers.remove(b)
+            if last:
+                if not search(word, openers):
+                    kept.append((*taken, (a, b)))
+            else:
+                taken.append((a, b))
+                del later[t]
+                pair(later[0], later[1:])
+                later.insert(t, b)
+                taken.pop()
+            word[b - 1] = b
+            insort(openers, b)
+
     for chosen in combinations(range(1, size + (free_count + 1) // 2 + 1), size):
-        # used[p]: p is isolated or the right end of an edge taken (used[0]
-        # too), so the smallest covered point not used after the left end
-        # of the last edge taken is the next left end.
-        used = [True] * (points + 1)
-        for p in chosen:
-            used[p] = False
-        before = [0] * (points + 1)  # before[p]: isolated points left of p
-        isolated: list[int] = []
-        for p in line:
-            before[p] = len(isolated)
-            if used[p]:
-                isolated.append(p)
+        # The s-th covered point p (from 0) has p - 1 points left of it, s
+        # of them covered.
+        for s, p in enumerate(chosen):
+            before[p] = p - 1 - s
         # word[p - 1]: the opener of the arc at p, a at the right end of an
         # edge (a, b) taken and p everywhere else, then the isolated points
         # in reverse, the order of their virtual closes; openers: its
         # values, sorted.
-        word = [*line, *reversed(isolated)]
+        word = [*line, *[p for p in reversed(line) if p not in chosen]]
         openers = list(line)
-        # partners[a]: each later covered point b whose edge (a, b) keeps
-        # _edge_violation's two conditions: at most one isolated point
-        # inside, and no more before a than after b.
-        partners = [[]] * (points + 1)
-        for s, a in enumerate(chosen):
-            partners[a] = [
-                b
-                for b in chosen[s + 1 :]
-                if before[b] - before[a] <= 1 and before[a] <= free_count - before[b]
-            ]
-        taken: list[tuple[int, int]] = []
-        # tries[d]: what is left of partners[a] for the edge (a, b) at depth d.
-        tries: list[Iterator[int]] = []
-        a = chosen[0] if chosen else 0
-        rest = iter(partners[a])
-        depth = 0
-        while True:
-            if depth < edge_count:
-                for b in rest:
-                    if not used[b]:
-                        break
-                else:
-                    b = 0  # no partner left for a: drop the last edge
-                if b:
-                    used[b] = True
-                    taken.append((a, b))
-                    tries.append(rest)
-                    word[b - 1] = a
-                    openers.remove(b)
-                    depth += 1
-                    if depth < edge_count:
-                        a = used.index(False, a + 1)
-                        rest = iter(partners[a])
-                    continue
-            elif not search(word, openers):
-                kept.append(tuple(taken))
-            if not depth:
-                break
-            depth -= 1
-            a, b = taken.pop()
-            rest = tries.pop()
-            used[b] = False
-            word[b - 1] = b
-            insort(openers, b)
+        pair(chosen[0], list(chosen[1:]))
     kept.sort()
     return [PartialMatching._trusted(points, edges) for edges in kept]
 

@@ -355,7 +355,11 @@ def _check_random_shift_lift(seed: int) -> Witnesses:
 def iter_verify(max_n: int, seed: int = 0) -> Iterator[CheckResult]:
     """Run every identity suite, yielding each check's result as soon as it
     has run; ranges derive from max_n up to the fixed caps.  max_n is checked
-    at call time; the checks run as the results are consumed."""
+    at call time, a bool or any other non-int raising TypeError; the checks
+    run as the results are consumed."""
+    # type(...) is int, not isinstance: bool is an int subclass.
+    if type(max_n) is not int:
+        raise TypeError(f"max_n must be an integer, got {max_n!r}")
     if max_n < 1:
         raise ValueError("max_n must be at least 1")
     return _results(_checks(max_n, seed))

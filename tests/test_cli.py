@@ -363,13 +363,29 @@ _BAD_CELLS = [
     (["trees"], "trees need --edges"),
     (["trees", "--edges", "3"], "--edges must be even and nonnegative"),
     (["trees", "--edges", "-2"], "--edges must be even and nonnegative"),
+    *(
+        (["trees", *given], f"{option} does not apply to enum trees")
+        for given, option in (
+            (["--edges", "4", "--i", "99", "--j", "99"], "--i"),
+            (["--edges", "4", "--j", "2"], "--j"),
+            (["--i", "4"], "--i"),
+        )
+    ),
+    *(
+        (
+            [family, "--i", "4", "--j", "1", "--edges", "7"],
+            f"--edges does not apply to enum {family}",
+        )
+        for family in ("paths", "matchings")
+    ),
 ]
 
 
 @pytest.mark.parametrize("argv, message", _BAD_CELLS)
 def test_enum_checks_the_cell_once_with_one_message(capsys, argv, message):
     """Paths and matchings share the check of --i and --j and the region
-    check; trees are checked through --edges."""
+    check; trees are checked through --edges; an option of the other family
+    is refused, not ignored."""
     assert run(capsys, ["enum", *argv]) == (2, "", f"error: {message}\n")
 
 

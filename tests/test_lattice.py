@@ -87,10 +87,11 @@ def _outcome(function, path):
     return None
 
 
-@pytest.mark.parametrize("fold", [path_to_matching, path_to_tree])
+@pytest.mark.parametrize("fold", [path_to_matching, path_to_tree, weight_exponent])
 def test_folds_check_each_step_as_parse_path_does(fold):
-    # The folds check their steps in their own loop, so each must accept
-    # exactly what parse_path accepts and name the same first bad step.
+    # The folds and weight_exponent check their steps in their own loop, so
+    # each must accept exactly what parse_path accepts and name the same
+    # first bad step: "EX" and "EN" are refused, not counted.
     for length in range(9):
         for steps in product("ENX", repeat=length):
             path = "".join(steps)

@@ -1,4 +1,5 @@
 import random
+import sys
 from bisect import bisect_left, bisect_right
 from itertools import combinations, permutations, product
 
@@ -396,6 +397,24 @@ def test_edgeless_cells_are_answered_without_a_search(monkeypatch):
     monkeypatch.setattr(matching, "_contains_12312", search)
     for m in (*range(13), 3000):
         assert enumerate_matchings(m, 0) == [PartialMatching(m)]
+
+
+def test_oracle_recursion_is_as_deep_as_its_edge_count():
+    # The oracle recurses once per edge, not once per point: with the
+    # recursion limit 20 frames above the caller, cells of 40 and 30 points
+    # still enumerate, and agree with the folds of their paths.
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 20)
+    try:
+        got = {cell: enumerate_matchings(*cell) for cell in ((40, 1), (30, 2))}
+    finally:
+        sys.setrecursionlimit(limit)
+    for (i, j), found in got.items():
+        folds = map(path_to_matching, enumerate_paths(i, j))
+        assert found == sorted(folds, key=lambda m: m.edges), (i, j)
 
 
 def test_covered_points_lie_in_the_oracle_window():

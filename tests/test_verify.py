@@ -456,3 +456,13 @@ def test_exception_in_the_shared_dp_pass_fails_the_closed_form_checks(
     ]
     assert sum(line.startswith("PASS") for line in lines) == 3
     assert lines[-1] == "overall: FAIL"
+
+
+@pytest.mark.parametrize("max_n", [1.5, 2.0, True, "3"])
+@pytest.mark.parametrize("run", [verify.iter_verify, verify.run_verify])
+def test_max_n_that_is_not_an_int_is_refused_at_call_time(monkeypatch, run, max_n):
+    # A float or a bool is a bad argument, not a failed verification: no
+    # check runs, and a float does not surface as seven failing checks.
+    monkeypatch.setattr(verify, "_checks", None)
+    with pytest.raises(TypeError, match="max_n must be an integer"):
+        run(max_n)
