@@ -33,7 +33,7 @@ from collections import deque
 
 from .errors import NOT_IN_IMAGE, DomainError, ParseError
 from .frozen import Frozen
-from .lattice import EAST, NORTH, _step_error
+from .lattice import EAST, NORTH, _require_int, _step_error
 from .poly import Poly, histogram_poly
 
 
@@ -140,7 +140,9 @@ def r_index(tree: EvenTree) -> int:
 
 
 def enumerate_even_trees(edge_count: int) -> list[EvenTree]:
-    """All even trees with the given edge count, ordered by parenthesis encoding."""
+    """All even trees with the given edge count, ordered by parenthesis encoding.
+    An edge count that is not an int raises TypeError."""
+    _require_int(edge_count=edge_count)
     if edge_count < 0 or edge_count % 2 != 0:
         raise ValueError(f"edge count must be even and nonnegative, got {edge_count}")
     # bodies[h]: the paren text of the children of every even-tree vertex with
@@ -163,6 +165,7 @@ def enumerate_even_trees(edge_count: int) -> list[EvenTree]:
 
 def r_index_poly(n: int) -> Poly:
     """Generating polynomial of the r-index over even trees with 2n edges."""
+    _require_int(n=n)
     if n < 1:
         raise ValueError("n must be positive")
     return histogram_poly(map(r_index, enumerate_even_trees(2 * n)))

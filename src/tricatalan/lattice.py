@@ -78,12 +78,21 @@ def weight_exponent(path: str) -> int:
     return exponent
 
 
+def _require_int(**counts: object) -> None:
+    """Raise TypeError naming the first count that is not an int."""
+    for name, value in counts.items():
+        # type(...) is int, not isinstance: bool is an int subclass.
+        if type(value) is not int:
+            raise TypeError(f"{name} must be an integer, got {value!r}")
+
+
 def enumerate_paths(i: int, j: int) -> list[str]:
     """All valid paths from the origin to (i, j), in lexicographic order (E < N).
 
     Returns the empty list when (i, j) lies strictly above the line or has a
-    negative coordinate.
+    negative coordinate; a coordinate that is not an int raises TypeError.
     """
+    _require_int(i=i, j=j)
     if i < 0 or j < 0 or i < 2 * j:
         return []
     found: list[str] = []

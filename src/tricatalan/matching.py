@@ -87,7 +87,7 @@ from itertools import chain, combinations
 
 from .errors import NOT_IN_IMAGE, DomainError, ParseError
 from .frozen import Frozen
-from .lattice import EAST, NORTH, _step_error
+from .lattice import EAST, NORTH, _require_int, _step_error
 from .poly import Poly, histogram_poly
 
 FORBIDDEN_PATTERN = (1, 2, 3, 1, 2)
@@ -410,8 +410,9 @@ def enumerate_matchings(points: int, edge_count: int) -> list[PartialMatching]:
     without the constructor's checks.  A cell with no edge is answered
     without a search: its one word is 1..points then points..1, in which
     any two values a < b read a, b, b, a and so cannot spell the pattern's
-    1, 2, ..., 1, 2.
+    1, 2, ..., 1, 2.  A count that is not an int raises TypeError.
     """
+    _require_int(points=points, edge_count=edge_count)
     if points < 0 or edge_count < 0 or 2 * edge_count > points:
         raise ValueError(f"need 0 <= 2*{edge_count} <= {points}")
     if not edge_count:

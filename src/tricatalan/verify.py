@@ -12,39 +12,42 @@ check and the report is still complete.
 Every table value a check reads comes from one shared pass of the column
 DP over columns 0..2*max_n, so a run computes the DP once.  The pass is a
 generator (_dp_pass) that keeps every cell with i <= min(2*max_n,
-PATH_ORACLE_MAX_I), which the path oracle and the matching class counts
-read, and L(2n, n), L(2n, n-1) and the sum of column 2n-1 for each n.
+PATH_ORACLE_MAX_I), and L(2n, n), L(2n, n-1) and the sum of column 2n-1
+for each n.  The four closed-form identities scale with the requested
+max_n and compare those with a second route (a binomial formula, the
+closed form, or another cell); lattice.descent_poly is built from the
+binomial formula lattice.catalan3_coeff, so those two checks read one
+formula twice.
+
+The three brute-force families are read by lattice cell, as L(i, j)
+counts each of them: paths(i, j) maps each path to (i, j) to its weight
+exponent, matchings(i, j) each class matching with i points and j edges
+to its crossings, and trees(i, j), read only at (2n, n), each even tree
+with 2n edges to its r-index.  They grow super-exponentially, so they are
+capped at fixed desk scales, and every check reports the range it
+actually ran.  Each family is checked in two shapes over a list of cells,
+and its witnesses name their cell.  The count check (_counts) compares
+the histogram of each cell's statistics with the table: paths and
+matchings read the kept cells, trees read L(2n, n) from the corners.  The
+bijection check (_bijection) folds each path of each cell once and
+unfolds each image once, reading both statistics from the family maps;
+the tree bijection also checks that the fold is injective at every cell
+below the line.
+
 Every shared value is read through one kind of build-once reader (_once),
 keyed by the call's arguments: cells() takes the pass to the kept cells'
-last column, corners(), which the closed-form checks read, takes it on to
-column 2*max_n, and the families and the matching table are built the same
-way.  Each is built once per run, on first read inside a check; a build
-that fails runs once too, and its exception, raised again to every reader,
-is the witness of every check that reads it.  The four closed-form
-identities scale with the requested max_n and compare those with a second
-route (a binomial formula, the closed form, or another cell);
-lattice.descent_poly is built from the binomial formula
-lattice.catalan3_coeff, so those two checks read one formula twice.  The
-tree counts read L(2n, n).  The brute-force families are capped at fixed
-desk scales (they grow super-exponentially), and every check reports the
-range it actually ran.  Each family is a map from each object to its
-statistic, shared by the checks that read it: paths(i, j) maps each path
-to its weight exponent, trees(n) each even tree with 2n edges to its
-r-index, and the matching table each cell's members to their crossings.
-The counting checks take the histogram of a map's values, and the
-bijection checks fold every path once and unfold every image once, reading
-both statistics from the maps and comparing the images with the family by
-one lookup each, so each object's statistic is computed once per run and
-no object goes through a bijection twice.  No set of images is built:
-every image unfolding to its path makes the fold injective, so with every
-image found in the family and as many paths as members, the images are
-the family.  No check writes state that another check reads.
+last column, corners() takes it on to column 2*max_n, and each family is
+built per cell.  Each is built once per run, on first read inside a
+check; a build that fails runs once too, and its exception, raised again
+to every reader, is the witness of every check that reads it.  So each
+object's statistic is computed once per run, no object goes through a
+bijection twice, and no check writes state that another check reads.
 """
 
 from __future__ import annotations
 
 import random
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterator
 from itertools import zip_longest
 
 from . import eventree, lattice, matching
@@ -58,13 +61,10 @@ TREE_BIJECTION_MAX_N = 7
 RANDOM_TRIALS = 200
 
 Witnesses = Iterator[str]
-# (i, j) -> {path: weight exponent} for every path to (i, j).
-Paths = Callable[[int, int], dict[str, int]]
-# n -> {tree: r-index} for every even tree with 2n edges.
-Trees = Callable[[int], dict[eventree.EvenTree, int]]
-# () -> {(i, j): {member: crossings}} for every cell with i <= the matching cap.
-Table = Callable[[], dict[tuple[int, int], dict[matching.PartialMatching, int]]]
-# () -> {(i, j): L(i, j)} for every cell with i <= the path oracle's cap.
+# (i, j) -> {object: statistic} for every object of a family at (i, j).
+Family = Callable[[int, int], dict]
+# () -> {(i, j): L(i, j)}: the cells with i <= the path oracle's cap, or the
+# on-line cells (2n, n) read from the corners.
 Cells = Callable[[], dict[tuple[int, int], Poly]]
 # () -> (L(2n, n), L(2n, n-1), sum of column 2n-1) for n = 1..max_n.
 Corners = Callable[[], list[tuple[Poly, Poly, Poly]]]
@@ -97,10 +97,12 @@ class VerifyReport(Record):
         return {"overall": self.overall, "checks": [dict(vars(c)) for c in self.checks]}
 
 
-def _valid_positions(max_i: int):
-    for i in range(max_i + 1):
-        for j in range(i // 2 + 1):
-            yield i, j
+def _valid_positions(max_i: int) -> list[tuple[int, int]]:
+    return [(i, j) for i in range(max_i + 1) for j in range(i // 2 + 1)]
+
+
+def _on_line_positions(max_n: int) -> list[tuple[int, int]]:
+    return [(2 * n, n) for n in range(1, max_n + 1)]
 
 
 def _show_matching(m: matching.PartialMatching) -> str:
@@ -111,21 +113,29 @@ def _show_tree(t: eventree.EvenTree) -> str:
     return f"tree {eventree.paren(t)}"
 
 
-def _family(objects: Iterable, statistic: Callable) -> dict:
-    """{object: statistic(object)} over an enumerated family.  A family that
-    lists an object twice would lose the repeat in the map, so it raises."""
-    objects = list(objects)
-    family = {obj: statistic(obj) for obj in objects}
-    if len(family) != len(objects):
-        raise ValueError("an object is enumerated twice")
-    return family
+def _family(enumerate_cell: Callable, statistic: Callable) -> Family:
+    """A reader of {object: statistic(object)} over enumerate_cell(i, j),
+    built once per cell (i, j).  A cell that lists an object twice would
+    lose the repeat in the map, so its build raises."""
+
+    def build(i: int, j: int) -> dict:
+        objects = list(enumerate_cell(i, j))
+        family = {obj: statistic(obj) for obj in objects}
+        if len(family) != len(objects):
+            raise ValueError("an object is enumerated twice")
+        return family
+
+    return _once(build)
 
 
-def _check_path_oracle(max_i: int, paths: Paths, cells: Cells) -> Witnesses:
-    dp_cells = cells()
-    for i, j in _valid_positions(max_i):
-        got = histogram_poly(paths(i, j).values())
-        want = dp_cells[i, j]
+def _counts(
+    positions: list[tuple[int, int]], family: Family, table: Cells
+) -> Witnesses:
+    """Witnesses against the histogram of the family's statistics at each
+    cell (i, j) being table()[i, j], the table's L(i, j)."""
+    for i, j in positions:
+        got = histogram_poly(family(i, j).values())
+        want = table()[i, j]
         if got != want:
             yield f"(i,j)=({i},{j}): enumeration gives {got}, table gives {want}"
 
@@ -210,28 +220,20 @@ def _check_collapse(corners: Corners) -> Witnesses:
             yield f"n={n}: L(2n,n)={on_line} != L(2n,n-1)={below}"
 
 
-def _check_matching_counts(table: Table, cells: Cells) -> Witnesses:
-    dp_cells = cells()
-    for (i, j), members in table().items():
-        got = histogram_poly(members.values())
-        want = dp_cells[i, j]
-        if got != want:
-            yield f"(i,j)=({i},{j}): class polynomial {got} != table {want}"
-
-
 def _bijection(
-    where: str,
-    paths: dict[str, int],
-    members: dict,
+    positions: list[tuple[int, int]],
+    paths: Family,
+    family: Family,
     fold: Callable,
     unfold: Callable,
     statistic: Callable,
     show: Callable,
 ) -> Witnesses:
-    """Witnesses against fold being a bijection from paths onto members that
-    carries the weight exponent to statistic, with unfold as its inverse.
-    paths maps each path to its weight exponent and members each member to
-    its statistic; statistic is computed only for an image that is no member.
+    """Witnesses against fold being, at each cell, a bijection from the
+    paths onto the family's members that carries the weight exponent to
+    statistic, with unfold as its inverse.  paths(i, j) maps each path to
+    its weight exponent and family(i, j) each member to its statistic;
+    statistic is computed only for an image that is no member.
 
     Each path is folded once and each image unfolded once.  The roundtrip
     unfold(fold(p)) == p for every path makes fold injective, so the images
@@ -244,55 +246,35 @@ def _bijection(
     equal to the members and unfolding to their paths, every member is
     fold(p) for a path p that it unfolds to.
     """
-    images = [fold(p) for p in paths]
-    found = 0
-    for (p, weight), image in zip(paths.items(), images):
-        value = members.get(image)
-        if value is None:
-            value = statistic(image)
-        else:
-            found += 1
-        if value != weight:
-            yield f"path {p!r}: the statistic of {show(image)} != weight exponent"
-    if not found == len(images) == len(members):
-        yield f"{where}: images differ from the enumerated family"
-    for p, image in zip(paths, images):
-        if unfold(image) != p:
-            yield f"path {p!r}: unfolding {show(image)} does not give the path back"
+    for i, j in positions:
+        weights, members = paths(i, j), family(i, j)
+        images = [fold(p) for p in weights]
+        found = 0
+        for (p, weight), image in zip(weights.items(), images):
+            value = members.get(image)
+            if value is None:
+                value = statistic(image)
+            else:
+                found += 1
+            if value != weight:
+                yield f"path {p!r}: the statistic of {show(image)} != weight exponent"
+        if not found == len(images) == len(members):
+            yield f"(i,j)=({i},{j}): images differ from the enumerated family"
+        for p, image in zip(weights, images):
+            if unfold(image) != p:
+                yield f"path {p!r}: unfolding {show(image)} does not give the path back"
 
 
-def _check_matching_bijection(table: Table, paths: Paths) -> Witnesses:
-    for (i, j), members in table().items():
-        yield from _bijection(
-            f"(i,j)=({i},{j})",
-            paths(i, j),
-            members,
-            matching.path_to_matching,
-            matching.matching_to_path,
-            matching.crossings,
-            _show_matching,
-        )
-
-
-def _check_tree_counts(max_n: int, trees: Trees, corners: Corners) -> Witnesses:
-    for n in range(1, max_n + 1):
-        got = histogram_poly(trees(n).values())
-        want = corners()[n - 1][0]
-        if got != want:
-            yield f"n={n}: r-index polynomial {got} != table {want}"
-
-
-def _check_tree_bijection(max_n: int, paths: Paths, trees: Trees) -> Witnesses:
-    for n in range(1, max_n + 1):
-        yield from _bijection(
-            f"n={n}",
-            paths(2 * n, n),
-            trees(n),
-            eventree.path_to_tree,
-            eventree.tree_to_path,
-            eventree.r_index,
-            _show_tree,
-        )
+def _check_tree_bijection(max_n: int, paths: Family, trees: Family) -> Witnesses:
+    yield from _bijection(
+        _on_line_positions(max_n),
+        paths,
+        trees,
+        eventree.path_to_tree,
+        eventree.tree_to_path,
+        eventree.r_index,
+        _show_tree,
+    )
     # Distinctness must hold at every intermediate position as well; the
     # on-line cells (2n, n) were folded and checked just above.
     for i, j in _valid_positions(2 * max_n):
@@ -357,9 +339,7 @@ def iter_verify(max_n: int, seed: int = 0) -> Iterator[CheckResult]:
     has run; ranges derive from max_n up to the fixed caps.  max_n is checked
     at call time, a bool or any other non-int raising TypeError; the checks
     run as the results are consumed."""
-    # type(...) is int, not isinstance: bool is an int subclass.
-    if type(max_n) is not int:
-        raise TypeError(f"max_n must be an integer, got {max_n!r}")
+    lattice._require_int(max_n=max_n)
     if max_n < 1:
         raise ValueError("max_n must be at least 1")
     return _results(_checks(max_n, seed))
@@ -383,15 +363,13 @@ def _checks(max_n: int, seed: int) -> list[tuple[str, str, Witnesses]]:
     # the run.  Every one is read through _once, so a failing build runs
     # once and its exception is the witness of every check that reads it.
     # The DP pass is one generator with two readers: cells() stops it at
-    # column path_i, and corners() reads on to column 2*max_n.  Each family
-    # maps its objects to their statistic: paths per cell, trees per edge
-    # count, and the matching table per cell.
-    paths = _once(
-        lambda i, j: _family(lattice.enumerate_paths(i, j), lattice.weight_exponent)
-    )
-    trees = _once(
-        lambda n: _family(eventree.enumerate_even_trees(2 * n), eventree.r_index)
-    )
+    # column path_i, and corners() reads on to column 2*max_n; on_line()
+    # keys their L(2n, n) by cell.  Each family maps the objects of a cell
+    # to their statistic; trees are read only at the cells (2n, n), the even
+    # trees with 2n edges.
+    paths = _family(lattice.enumerate_paths, lattice.weight_exponent)
+    matchings = _family(matching.enumerate_matchings, matching.crossings)
+    trees = _family(lambda i, j: eventree.enumerate_even_trees(i), eventree.r_index)
     dp = _dp_pass(max_n, path_i)
     cells = _once(lambda: next(dp))
 
@@ -400,20 +378,15 @@ def _checks(max_n: int, seed: int) -> list[tuple[str, str, Witnesses]]:
         return next(dp)
 
     corners = _once(read_corners)
-    table = _once(
-        lambda: {
-            (i, j): _family(matching.enumerate_matchings(i, j), matching.crossings)
-            for i, j in _valid_positions(matching_i)
-        }
-    )
+    on_line = _once(lambda: {(2 * n, n): p for n, (p, _, _) in enumerate(corners(), 1)})
 
     closed = f"n = 1..{max_n}"
-    matchings = f"i <= {matching_i}"
+    matching_cells = _valid_positions(matching_i)
     return [
         (
             "path-enumeration-vs-table",
             f"i <= {path_i}",
-            _check_path_oracle(path_i, paths, cells),
+            _counts(_valid_positions(path_i), paths, cells),
         ),
         ("corner-coefficient-formula", closed, _check_coeff_formula(corners)),
         ("descent-closed-form", closed, _check_descent(corners)),
@@ -421,18 +394,21 @@ def _checks(max_n: int, seed: int) -> list[tuple[str, str, Witnesses]]:
         ("on-line-collapse", closed, _check_collapse(corners)),
         (
             "matching-class-counts",
-            matchings,
-            _check_matching_counts(table, cells),
+            f"i <= {matching_i}",
+            _counts(matching_cells, matchings, cells),
         ),
         (
             "matching-bijection",
-            matchings,
-            _check_matching_bijection(table, paths),
+            f"i <= {matching_i}",
+            _bijection(
+                matching_cells, paths, matchings, matching.path_to_matching,
+                matching.matching_to_path, matching.crossings, _show_matching,
+            ),
         ),
         (
             "even-tree-counts",
             f"n = 1..{count_n}",
-            _check_tree_counts(count_n, trees, corners),
+            _counts(_on_line_positions(count_n), trees, on_line),
         ),
         (
             "even-tree-bijection",

@@ -1,3 +1,4 @@
+import re
 import sys
 import time
 import tracemalloc
@@ -9,7 +10,7 @@ import pytest
 import tricatalan
 from tricatalan import lattice
 from tricatalan.errors import ParseError
-from tricatalan.eventree import path_to_tree
+from tricatalan.eventree import enumerate_even_trees, path_to_tree, r_index_poly
 from tricatalan.lattice import (
     ballot,
     catalan3,
@@ -23,7 +24,7 @@ from tricatalan.lattice import (
     path_endpoint,
     weight_exponent,
 )
-from tricatalan.matching import path_to_matching
+from tricatalan.matching import crossing_poly, enumerate_matchings, path_to_matching
 from tricatalan.poly import Poly, histogram_poly
 
 # The full printed table of weighted path counts, row by row.
@@ -109,6 +110,26 @@ def test_enumerate_paths_base_cases():
     assert enumerate_paths(0, 0) == [""]
     assert enumerate_paths(2, 1) == ["EEN"]
     assert enumerate_paths(1, 1) == []
+
+
+@pytest.mark.parametrize("count", [True, 2.0, "3"])
+def test_enumerators_refuse_a_count_that_is_not_an_int(count):
+    # A bool is refused too, though bool is an int subclass: each family
+    # would otherwise be listed for 1 or 0, or a float fail deep inside.
+    calls = [
+        (enumerate_paths, (count, 0), "i"),
+        (enumerate_paths, (4, count), "j"),
+        (enumerate_matchings, (count, 0), "points"),
+        (enumerate_matchings, (4, count), "edge_count"),
+        (crossing_poly, (count, 0), "points"),
+        (crossing_poly, (4, count), "edge_count"),
+        (enumerate_even_trees, (count,), "edge_count"),
+        (r_index_poly, (count,), "n"),
+    ]
+    for enumerate_family, args, name in calls:
+        message = f"{name} must be an integer, got {re.escape(repr(count))}"
+        with pytest.raises(TypeError, match=message):
+            enumerate_family(*args)
 
 
 def test_enumerate_paths_lexicographic():

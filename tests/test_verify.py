@@ -76,7 +76,7 @@ FAULTS = {
         matching, "matching_to_path", (EEENEN_MATCHING,), reversed_path,
         "path 'EEENEN'",
     ),
-    "even-tree-counts": (eventree, "r_index", (EEEENN_TREE,), plus_one, "n=2"),
+    "even-tree-counts": (eventree, "r_index", (EEEENN_TREE,), plus_one, "(i,j)=(4,2)"),
     "even-tree-bijection": (
         eventree, "tree_to_path", (EEEENN_TREE,), reversed_path, "path 'EEEENN'"
     ),
@@ -119,7 +119,7 @@ WITNESS_FAULTS = [
     (
         "even-tree-bijection", eventree, "enumerate_even_trees", (4,),
         lambda trees: [*trees, eventree.tree_from_paren("*()()()()")],
-        "n=2: images differ from the enumerated family",
+        "(i,j)=(4,2): images differ from the enumerated family",
     ),
     # EEENE (weight exponent 1) folded onto the image of EEEEN (0 crossings).
     (
@@ -362,10 +362,13 @@ def test_verify_computes_each_objects_statistic_once(monkeypatch):
 
 
 def test_verify_enumerates_each_path_cell_once(monkeypatch):
-    counts = counting(monkeypatch, (lattice, "enumerate_paths"))
+    counts = counting(
+        monkeypatch, (lattice, "enumerate_paths"), (matching, "enumerate_matchings")
+    )
     assert verify.run_verify(5).overall
-    # The 36 cells with i <= 10, shared by the path oracle and both bijections.
-    assert counts == {"enumerate_paths": 36}
+    # The 36 cells with i <= 10: their paths are shared by the path oracle
+    # and both bijections, their matchings by both matching checks.
+    assert counts == {"enumerate_paths": 36, "enumerate_matchings": 36}
 
 
 CLOSED_FORM = [
