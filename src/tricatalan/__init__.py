@@ -1,9 +1,10 @@
 """Exact counting of lattice paths below x = 2y and the families they match.
 
-The package computes the weighted path polynomials by dynamic programming,
-realizes the shift/lift correspondences with pattern-avoiding partial
-matchings and with even plane trees, and cross-checks every identity by
-independent brute-force enumeration at desk scale.
+The package computes the weighted path polynomials by a column dynamic
+program and, one cell at a time, by a closed form.  It realizes the
+shift/lift correspondences with pattern-avoiding partial matchings and with
+even plane trees, and cross-checks every identity by independent
+brute-force enumeration at desk scale.
 """
 
 from .errors import DomainError, ParseError

@@ -129,7 +129,9 @@ def _matching_arg(value: str) -> matching.PartialMatching:
 def _coeff_digits(coeffs: tuple[int, ...]) -> list[str]:
     """The decimal text of each coefficient.  A palindromic cell, as every
     cell of an odd column is, converts its first half and mirrors it; the
-    equality test decides, so any other cell is converted whole."""
+    equality test decides, so any other cell is converted whole.  The DP
+    mirrors each odd-column cell from one int object per pair, so the test
+    there compares pointers, not digits."""
     n = len(coeffs)
     half = n // 2
     if coeffs[:half] != coeffs[: n - half - 1 : -1]:

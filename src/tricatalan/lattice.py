@@ -4,22 +4,28 @@ A path is a string over {E, N} read from the origin: E moves (1,0), N moves
 (0,1).  After every step the current point (x, y) must satisfy x >= 2y, so a
 north step from (x, y) is legal only when x >= 2(y + 1).  A north step taken
 at odd x carries weight x (the formal variable); all other steps have weight
-1.  lattice_poly(i, j) is the weighted count of all such paths ending at
-(i, j), computed by dynamic programming; enumerate_paths lists the paths
-explicitly and is kept independent of the DP so each can check the other.
+1.  L(i, j) is the weighted count of all such paths ending at (i, j).  Three
+routes compute it and share no code: lattice_poly reads one cell from a
+closed form, the column DP builds whole columns, and enumerate_paths lists
+the paths explicitly, so each can check the others.
 
 The dynamic program runs column by column (_columns) and holds only the
 previous column and the one being built, as plain coefficient tuples, so
 its memory is bounded by two columns and it uses no recursion and no cache.
-lattice_poly, lattice_columns and lattice_table all read from it.
+lattice_columns and lattice_table read from it.
 
 ballot(i, j) counts the paths to (i, j) by the cycle lemma's closed form,
 which does not use the DP; catalan3 and enum's letter limit both read it.
 
 Every odd-column cell L(2m+1, j) is a palindrome of degree j: x >= 2y binds
 only at the end of each column pair (2s, 2s+1), so swapping the north-step
-counts of columns 2s and 2s+1 turns weight k into j - k.  The DP does not
-use this; the table writers in cli do.
+counts of columns 2s and 2s+1 turns weight k into j - k.  The DP builds only
+the first half of each such cell and mirrors it, so its values rest on this
+theorem; the closed form, the enumeration and verify's corner checks are
+their independent routes.  The table writers in cli use it too.
+
+Every public entry refuses a count that is not an int, a bool included,
+with a TypeError that names it.
 """
 
 from __future__ import annotations
@@ -124,41 +130,79 @@ def enumerate_paths(i: int, j: int) -> list[str]:
             return found
 
 
-def _columns(max_i: int, max_j: int) -> Iterator[list[tuple[int, ...]]]:
-    """Columns i = 0..max_i: coefficient tuples of L(i, j), j <= min(i // 2, max_j).
+def _columns(max_i: int) -> Iterator[list[tuple[int, ...]]]:
+    """Columns i = 0..max_i: coefficient tuples of L(i, j), j = 0..i // 2.
 
     Recurrence over the last step: a path into (i, j) arrives by E from
     (i-1, j) or by N from (i, j-1), the latter weighted by x exactly when i
-    is odd.  Cells above the line are zero, so (i-1, j) is missing from the
-    previous column when 2j = i.  Each yielded list is new and never mutated.
+    is odd.  An odd-column cell is a palindrome of degree j (module
+    docstring), so only its first j // 2 + 1 coefficients are added up and
+    the rest mirror them: each mirrored pair is one int object.  On an even
+    column the line cell (i, i/2) has no east step in, as (i-1, i/2) lies
+    above the line, so it is the cell below it, as one tuple.  Each yielded
+    list is new and never mutated.
     """
     column = [(1,)]
     yield column
     for i in range(1, max_i + 1):
-        previous, column = column, []
-        cell: tuple[int, ...] = ()
-        for j in range(min(i // 2, max_j) + 1):
-            left = previous[j] if j < len(previous) else ()
-            below = (0,) + cell if i % 2 and cell else cell
-            if len(left) < len(below):
-                left, below = below, left
-            cell = (*map(add, left, below), *left[len(below):])
+        previous, column, cell = column, [], ()
+        if i % 2:
+            for j, left in enumerate(previous):
+                # [x^k] L(i, j) = left_k + cell_(k-1), for k <= j // 2.
+                head = (left[0], *map(add, left[1 : j // 2 + 1], cell))
+                cell = head + head[: (j + 1) // 2][::-1]
+                column.append(cell)
+        else:
+            for left in previous:
+                # cell, of degree below j, is never longer than left.
+                cell = (*map(add, left, cell), *left[len(cell) :])
+                column.append(cell)
             column.append(cell)
         yield column
 
 
 def lattice_poly(i: int, j: int) -> Poly:
-    """Weighted count of paths from the origin to (i, j).
+    """Weighted count of paths from the origin to (i, j), by its closed form.
 
     Zero for positions strictly above the line (or negative), so callers may
-    sum over a rectangle freely.  Runs the column DP up to column i, rows
-    0..j only, which are all that (i, j) depends on.
+    sum over a rectangle freely.  With m = i // 2 and 0 <= k <= j <= m,
+
+        [x^k] L(2m+1, j) = (m+1-j)/(m+1) * C(m+k, m) * C(m+j-k, m),
+        [x^k] L(2m, j) = (m(m+1-j) - k)/(m(m+1)) * C(m-1+k, m-1) * C(m+j-k, m)
+
+    for m >= 1, and L(0, 0) = 1; the one trailing zero, at k = m on the
+    line (2m, m), is trimmed.  They hold because x >= 2y binds only at the
+    end of each column pair (2s, 2s+1): a path is a sequence of per-pair
+    north counts c_1..c_m with c_1 + ... + c_s <= s, weighted by
+    prod (1 + x + ... + x^c_s), the coefficients of
+    phi(w) = 1/((1 - w)(1 - xw)).  The weight is invariant under rotation,
+    so the cycle lemma gives L(2m+1, j) = (m+1-j)/(m+1) [w^j] phi(w)^(m+1),
+    and L(2m, j) = sum_{t <= j} L(2m-1, t) sums it by the hockey stick.
+    Both binomials are carried from k to k + 1 by their ratios, so a cell
+    costs j + 1 small-by-big multiplications and divisions; every division
+    is exact, and _exact_div says so at each coefficient.  No DP code is
+    read: the column DP (lattice_columns) and this formula are two routes.
     """
+    _require_int(i=i, j=j)
     if i < 0 or j < 0 or i < 2 * j:
         return Poly.zero()
-    for column in _columns(i, j):
-        pass
-    return Poly._trusted(column[j])
+    if i == 0:
+        return Poly._trusted((1,))
+    m, a = i // 2, (i - 1) // 2  # C(a+k, a): a = m on odd columns, m - 1 on even
+    if i % 2:
+        scale, step, divisor = m + 1 - j, 0, m + 1
+    else:
+        scale, step, divisor = m * (m + 1 - j), 1, m * (m + 1)
+    what = f"lattice_poly({i},{j})"
+    binomials = comb(m + j, m)  # C(a+k, a) * C(m+j-k, m), here at k = 0
+    coeffs = []
+    for k in range(j + 1):
+        if k:
+            binomials = binomials * (a + k) * (j + 1 - k) // (k * (m + j + 1 - k))
+        coeffs.append(_exact_div((scale - step * k) * binomials, divisor, what))
+    if not coeffs[-1]:
+        coeffs.pop()
+    return Poly._trusted(tuple(coeffs))
 
 
 def _exact_div(numerator: int, divisor: int, what: str) -> int:
@@ -181,8 +225,11 @@ def ballot(i: int, j: int, cap: int | None = None) -> int:
     that many steps at any size.  A count of at most the cap, and every
     count without one, is exact.
     """
-    if cap is not None and cap < 0:
-        raise ValueError("cap must be nonnegative")
+    _require_int(i=i, j=j)
+    if cap is not None:
+        _require_int(cap=cap)
+        if cap < 0:
+            raise ValueError("cap must be nonnegative")
     if i < 0 or j < 0 or i < 2 * j:
         return 0
     limit = None if cap is None else cap * (i + j + 1)
@@ -196,6 +243,7 @@ def ballot(i: int, j: int, cap: int | None = None) -> int:
 
 def catalan3(n: int) -> int:
     """3-Catalan number b(2n, n) = C(3n, n) / (2n + 1): the paths to (2n, n)."""
+    _require_int(n=n)
     if n < 0:
         raise ValueError("n must be nonnegative")
     return ballot(2 * n, n)
@@ -218,6 +266,7 @@ def catalan3_coeff(n: int, k: int) -> int:
            = (1/n) sum_k C(2n-k, n+1) C(n-1+k, n-1) q^k,
     taking q^k from (1 - qw)^-n and w^(n-1-k) from (1 - w)^-(n+2).
     """
+    _require_int(n=n, k=k)
     if n < 1:
         raise ValueError("n must be positive")
     if not 0 <= k <= n - 1:
@@ -233,6 +282,7 @@ def descent_poly(n: int) -> Poly:
     descent_poly(n) has coefficient catalan3_coeff(n - 1, k) at x^k for
     0 <= k <= n-2; it equals lattice_poly(2(n-1), n-1).
     """
+    _require_int(n=n)
     if n < 2:
         raise ValueError("n must be at least 2")
     return Poly._trusted(tuple(catalan3_coeff(n - 1, k) for k in range(n - 1)))
@@ -245,16 +295,17 @@ def lattice_columns(max_i: int) -> Iterator[list[tuple[int, ...]]]:
     j = 0..i//2 (ascending powers, no trailing zeros).  max_i is checked at
     call time; columns are built as they are consumed.
     """
+    _require_int(max_i=max_i)
     if max_i < 0:
         raise ValueError("max_i must be nonnegative")
-    return _columns(max_i, max_i)
+    return _columns(max_i)
 
 
 def lattice_table(max_i: int) -> Iterator[tuple[int, int, Poly]]:
     """Stream all (i, j, lattice_poly(i, j)) with 0 <= i <= max_i, 0 <= 2j <= i.
 
     Cells come column by column, i ascending and then j ascending; max_i is
-    checked at call time.
+    checked at call time, by lattice_columns.
     """
     return (
         (i, j, Poly._trusted(coeffs))

@@ -54,10 +54,10 @@ def test_golden_table(i, j, coeffs):
 
 
 def test_above_line_is_zero():
-    assert lattice_poly(1, 1) == Poly.zero()
-    assert lattice_poly(5, 3) == Poly.zero()
-    assert lattice_poly(-1, 0) == Poly.zero()
-    assert lattice_poly(3, -1) == Poly.zero()
+    for i in range(-3, 30):
+        for j in range(-3, 20):
+            if i < 0 or j < 0 or i < 2 * j:
+                assert lattice_poly(i, j) == Poly.zero(), (i, j)
 
 
 def test_parse_path_accepts_valid():
@@ -130,6 +130,30 @@ def test_enumerators_refuse_a_count_that_is_not_an_int(count):
         message = f"{name} must be an integer, got {re.escape(repr(count))}"
         with pytest.raises(TypeError, match=message):
             enumerate_family(*args)
+
+
+@pytest.mark.parametrize("count", [True, 2.0, "3"])
+def test_lattice_entries_refuse_a_count_that_is_not_an_int(count):
+    # ballot(4.0, 1) returned the float 3.0, ballot(True, 0), catalan3(True)
+    # and lattice_poly(True, 0) read True as 1, and a float failed inside
+    # range.  Both streams refuse at call time, before a column is asked for.
+    calls = [
+        (ballot, (count, 0), "i"),
+        (ballot, (4, count), "j"),
+        (ballot, (4, 1, count), "cap"),
+        (catalan3, (count,), "n"),
+        (catalan3_coeff, (count, 0), "n"),
+        (catalan3_coeff, (3, count), "k"),
+        (descent_poly, (count,), "n"),
+        (lattice_poly, (count, 0), "i"),
+        (lattice_poly, (4, count), "j"),
+        (lattice_columns, (count,), "max_i"),
+        (lattice_table, (count,), "max_i"),
+    ]
+    for entry, args, name in calls:
+        message = f"{name} must be an integer, got {re.escape(repr(count))}"
+        with pytest.raises(TypeError, match=message):
+            entry(*args)
 
 
 def test_enumerate_paths_lexicographic():
@@ -233,7 +257,7 @@ def test_descent_poly_values():
         descent_poly(1)
 
 
-@pytest.mark.parametrize("n", range(1, 13))
+@pytest.mark.parametrize("n", range(1, 101))
 def test_corner_identities(n):
     corner = lattice_poly(2 * n, n)
     assert descent_poly(n + 1) == corner
@@ -291,10 +315,34 @@ def test_odd_column_weights_are_palindromes_by_enumeration(i):
         assert coeffs == coeffs[::-1], (i, j)
 
 
-def test_odd_columns_of_the_dp_are_palindromes():
-    for i, column in enumerate(lattice_columns(200)):
-        if i % 2:
-            assert all(coeffs == coeffs[::-1] for coeffs in column), i
+def test_every_dp_cell_is_the_closed_form():
+    # The DP mirrors each odd-column cell from its first half, so its
+    # palindromes hold by construction; the closed form is the second route.
+    for i, column in enumerate(lattice_columns(120)):
+        for j, coeffs in enumerate(column):
+            assert coeffs == lattice_poly(i, j).coeffs and coeffs[-1] != 0, (i, j)
+
+
+def test_closed_form_bottom_row():
+    # (0, 0) lies outside both formulas, and (1, 0) is the odd one at m = 0.
+    for i in range(300):
+        assert lattice_poly(i, 0) == Poly((1,)), i
+
+
+def test_closed_form_trims_the_zero_top_of_even_on_line_cells():
+    # At k = m the even-column weight m(m+1-j) - k is 0 on the line j = m,
+    # so L(2m, m) has degree m - 1, as its neighbour L(2m, m - 1) does.
+    for m in range(1, 150):
+        assert lattice_poly(2 * m, m).degree() == m - 1, m
+        assert lattice_poly(2 * m, m - 1).degree() == m - 1, m
+        assert lattice_poly(2 * m + 1, m).degree() == m, m
+
+
+def test_closed_form_reads_a_far_odd_cell():
+    # The DP had not reached column 4000 after nine minutes.
+    coeffs = lattice_poly(4001, 2000).coeffs
+    assert len(coeffs) == 2001 and coeffs == coeffs[::-1]
+    assert sum(coeffs) == ballot(4001, 2000)
 
 
 def test_cold_deep_corner_needs_no_recursion():
